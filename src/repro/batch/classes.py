@@ -5,10 +5,10 @@ input that steps 1–4 read is structurally equal: the document (id and
 catalog version), the client's capabilities (not its identity), the
 guarantee class, the tariff tables, the mapper state, the profile's
 QoS/cost bounds, the importance profile, the classification policy,
-and the walk bounds (``max_offers``, offer mode).  The class key is
-the tuple of exactly those fingerprints — a strict superset of the
-negotiation cache's classification key, which is what makes the
-fan-out sound.
+and the walk bound (``max_offers``).  The class key is the tuple of
+exactly those fingerprints — the negotiation cache's space key
+extended with every steps-3–4 input, which is what makes the fan-out
+sound.
 
 Requests carrying user preferences build per-user offer spaces
 (variant filters) or per-offer bonuses; they are honest singletons and
@@ -48,7 +48,6 @@ class BatchRequest:
     policy: "ClassificationPolicy | None" = None
     guarantee: "GuaranteeType | None" = None
     max_offers: "int | None" = None
-    offer_mode: "str | None" = None
     tag: object = None
 
     @property
@@ -66,32 +65,31 @@ def request_class_key(
     """The capability equivalence class of ``request`` under
     ``manager``, or ``None`` when the request is unbatchable.
 
-    Built from the negotiation cache's space key (document id +
-    version, client capability fingerprint, guarantee, cost model,
-    mapper) extended with the classification inputs (profile bounds,
-    importance, policy) and the walk bounds.  Everything identity-like
-    (client id, access point, profile name, tag) is excluded by
-    construction — that is the fingerprint module's contract.
+    Built from the negotiation cache's space key (document id,
+    database token and version, client capability fingerprint,
+    guarantee, cost model, mapper) extended with the classification
+    inputs (profile bounds, importance, policy) and the walk bound.
+    Everything identity-like (client id, access point, profile name,
+    tag) is excluded by construction — that is the fingerprint
+    module's contract.
     """
     profile = request.profile
     if profile.preferences is not None:
         return None
     policy = request.policy or manager.policy
     guarantee = request.guarantee or manager.guarantee
-    document_id = request.document_id
     space_key = NegotiationCache.space_key(
-        document_id=document_id,
-        version=manager.database.version_of(document_id),
+        database=manager.database,
+        document_id=request.document_id,
         client=request.client,
         guarantee=guarantee,
         cost_model=manager.cost_model,
         mapper=manager.mapper,
     )
-    importance = manager._importance_of(profile)
+    importance = manager.importance_of(profile)
     return space_key + (
         profile_fingerprint(profile),
         importance_fingerprint(importance),
         policy.value,
         request.max_offers,
-        request.offer_mode or manager.offer_mode,
     )

@@ -7,14 +7,10 @@ per member — but the pure prefix (steps 1–4) runs once per equivalence
 class instead of once per request:
 
 * classes are keyed by :func:`~repro.batch.classes.request_class_key`;
-* classes that share an offer space (same space key + policy, eager
-  mode) are classified together in one structure-of-arrays NumPy pass
-  (:func:`~repro.core.classification.classify_arrays_batch`), seeded
-  into the negotiation cache so the per-class plan is a pure hit;
-* spaces above the vectorization ceiling plan through the best-first
-  stream, wrapped in a replayable buffer so every member sees the
-  stream from its beginning while classification work is still done
-  at most once per offer.
+* each class plans once through :meth:`QoSManager.plan`, and its
+  best-first offer stream is wrapped in a replayable buffer, so every
+  member walks the stream from its beginning while each offer is still
+  classified at most once per class.
 
 ``after_each`` runs after each member's walk, before the next member
 touches the ledgers — the bench uses it to reject commitments so the
@@ -26,13 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
-from ..core.classification import (
-    MAX_VECTOR_OFFERS,
-    ClassificationArrays,
-    ClassifiedOffer,
-    classify_arrays_batch,
-)
-from ..core.enumeration import build_offer_space
+from ..core.classification import ClassifiedOffer
 from ..core.negotiation import NegotiationPlan, NegotiationResult, QoSManager
 from .classes import BatchRequest, request_class_key
 
@@ -74,15 +64,14 @@ class _ClassPlan:
     """One equivalence class's shared steps-1–4 outcome."""
 
     plan: NegotiationPlan
-    shared_stream: "_ReplayableStream | None" = None
+    offers: "_ReplayableStream | None" = None
     members_walked: int = 0
 
     def member_plan(self) -> NegotiationPlan:
         """A per-member view of the class plan.
 
         Early results are cloned (results are mutable records the
-        caller owns); eager classified lists are shared read-only; the
-        stream gets a fresh replay cursor.
+        caller owns); the offer stream gets a fresh replay cursor.
         """
         plan = self.plan
         if plan.early is not None:
@@ -92,15 +81,10 @@ class _ClassPlan:
                 local_violations=dict(plan.early.local_violations),
             )
             return NegotiationPlan(early=early, space=plan.space)
-        if self.shared_stream is not None:
-            return NegotiationPlan(
-                space=plan.space,
-                stream=self.shared_stream.iter(),
-                offers_in=plan.offers_in,
-            )
+        assert self.offers is not None
         return NegotiationPlan(
             space=plan.space,
-            classified=plan.classified,
+            offers=self.offers.iter(),
             offers_in=plan.offers_in,
         )
 
@@ -110,74 +94,6 @@ class _ClassGroup:
     key: tuple
     representative: BatchRequest
     size: int = 1
-
-
-def _preseed_shared_classifications(
-    manager: QoSManager, groups: "dict[tuple, _ClassGroup]"
-) -> None:
-    """Classify space-compatible classes together, one SoA pass each.
-
-    Only applies when the manager carries a cache (the seed target) and
-    at least two classes share (space key, policy) in eager mode; each
-    class's row lands in the cache under its own classification key,
-    so the subsequent per-class ``plan`` call is a pure hit.  Misses
-    are counted here, once per class — exactly what the sequential
-    path would have charged.
-    """
-    cache = manager.cache
-    if cache is None:
-        return
-    by_space: "dict[tuple, list[_ClassGroup]]" = {}
-    for group in groups.values():
-        request = group.representative
-        mode = request.offer_mode or manager.offer_mode
-        if mode != "full":
-            continue
-        space_key = group.key[:6]
-        policy = request.policy or manager.policy
-        by_space.setdefault(space_key + (policy.value,), []).append(group)
-    for space_and_policy, space_groups in by_space.items():
-        if len(space_groups) < 2:
-            continue
-        space_key = space_and_policy[:6]
-        request = space_groups[0].representative
-        policy = request.policy or manager.policy
-        guarantee = request.guarantee or manager.guarantee
-        document = request.document
-        if isinstance(document, str):
-            document = manager.database.get_document(document)
-        space = cache.offer_space(
-            space_key,
-            lambda: build_offer_space(
-                document,
-                request.client,
-                manager.cost_model,
-                mapper=manager.mapper,
-                guarantee=guarantee,
-                variant_filter=None,
-            ),
-        )
-        if space.is_empty or space.offer_count > MAX_VECTOR_OFFERS:
-            continue
-        members = [
-            (
-                group.representative.profile,
-                manager._importance_of(group.representative.profile),
-            )
-            for group in space_groups
-        ]
-        rows = classify_arrays_batch(space, members, policy=policy)
-        for group, (profile, importance), arrays in zip(
-            space_groups, members, rows
-        ):
-            key = cache.classification_key(
-                space_key, profile, importance, policy
-            )
-
-            def seeded(arrays: ClassificationArrays = arrays) -> object:
-                return arrays
-
-            cache.classifications.lookup(key, seeded)
 
 
 def negotiate_batch(
@@ -209,7 +125,6 @@ def negotiate_batch(
             request.policy,
             request.guarantee,
             request.max_offers,
-            request.offer_mode,
         )
         if memo_key in key_memo:
             key = key_memo[memo_key]
@@ -225,8 +140,6 @@ def negotiate_batch(
         else:
             group.size += 1
 
-    _preseed_shared_classifications(manager, groups)
-
     plans: "dict[tuple, _ClassPlan]" = {}
     for key, group in groups.items():
         request = group.representative
@@ -237,12 +150,11 @@ def negotiate_batch(
             policy=request.policy,
             guarantee=request.guarantee,
             max_offers=request.max_offers,
-            offer_mode=request.offer_mode or manager.offer_mode,
         )
-        shared = None
-        if plan.stream is not None:
-            shared = _ReplayableStream(plan.stream)
-        plans[key] = _ClassPlan(plan=plan, shared_stream=shared)
+        offers = None
+        if plan.offers is not None:
+            offers = _ReplayableStream(plan.offers)
+        plans[key] = _ClassPlan(plan=plan, offers=offers)
         telemetry.count("batch.plans")
         telemetry.observe("batch.class_size", float(group.size))
 
@@ -256,7 +168,6 @@ def negotiate_batch(
                 policy=request.policy,
                 guarantee=request.guarantee,
                 max_offers=request.max_offers,
-                offer_mode=request.offer_mode,
             )
         else:
             class_plan = plans[key]
@@ -269,14 +180,7 @@ def negotiate_batch(
                 request.client,
                 guarantee=request.guarantee,
             )
-            telemetry.count(
-                "negotiation.outcomes", status=str(result.status)
-            )
-            telemetry.observe("negotiation.attempts", float(result.attempts))
-            telemetry.observe(
-                "negotiation.offers.classified",
-                float(len(result.classified)),
-            )
+            manager.record_outcome(result)
         results.append(result)
         if after_each is not None:
             after_each(request, result)

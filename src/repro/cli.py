@@ -33,8 +33,9 @@ Subcommands exercising the library from a shell:
   span tree at rising load multipliers, name the top bottleneck, and
   optionally write a folded-stack flamegraph;
 * ``experiments`` — list the E-series experiment index;
-* ``bench`` — run the negotiation throughput benchmark (streaming vs
-  full sort, cache on/off) and write ``BENCH_negotiation.json``;
+* ``bench`` — run the negotiation throughput benchmark (default
+  streaming ``negotiate`` and batch against the full-sort reference,
+  cache on/off) and write ``BENCH_negotiation.json``;
 * ``lint`` — run the reprolint project-invariant checks (REP001..REP011;
   ``--deep`` adds the whole-program resource-flow rules REP012..REP017
   with a content-hashed extract cache, ``--changed`` restricts the run
@@ -358,8 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="negotiation throughput benchmark "
-             "(streaming vs full sort, cache on/off)",
+        help="negotiation throughput benchmark (default streaming "
+             "negotiate and batch vs the full-sort reference, cache "
+             "on/off)",
     )
     add_bench_arguments(bench)
 

@@ -46,7 +46,13 @@ from .importance import (
     paper_example_importance,
 )
 from .mapping import QoSMapper, flow_spec_for_variant
-from .negotiation import NegotiationPlan, NegotiationResult, QoSManager
+from .negotiation import (
+    NegotiationPlan,
+    NegotiationResult,
+    QoSManager,
+    negotiate_full_sort,
+    two_pass_order,
+)
 from .offers import SystemOffer, derive_user_offer
 from .profile_io import (
     dump_profiles,

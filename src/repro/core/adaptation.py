@@ -203,12 +203,17 @@ class AdaptationManager:
         )
 
         def commit(exclude: frozenset) -> NegotiationResult:
-            return self.manager._commit_best(
+            # Step 5 again over the classified list.  The new result
+            # keeps the whole list, excluded offers included, for the
+            # next adaptation.
+            return self.manager.commit(
                 classified,
                 result.offer_space,
                 profile,
                 client,
-                self.manager.guarantee,
+                offers_in=sum(
+                    1 for c in classified if c.offer.offer_id not in exclude
+                ),
                 exclude_offer_ids=exclude,
             )
 

@@ -26,7 +26,10 @@ Two implementations are provided: a scalar one (reference semantics,
 offer objects in hand) and a vectorized one over an
 :class:`~repro.core.enumeration.OfferSpace` that classifies the whole
 product space with numpy and only materialises the offers it returns.
-They are property-tested to agree.
+They are property-tested to agree.  Negotiation itself streams the
+classified offers best first (:mod:`repro.core.stream`); the vectorized
+full sort is its fallback for non-separable preference bonuses and the
+reference it is tested against.
 """
 
 from __future__ import annotations
@@ -200,10 +203,8 @@ class ClassificationArrays:
     """The vectorized §4-step-3/4 products over a whole offer space.
 
     ``order`` lists flat product indices best-first; the other arrays
-    are indexed by flat product index.  Splitting these out of
-    :func:`classify_space` lets :mod:`repro.perf` cache the expensive
-    part (the broadcast sums and the lexsort) and re-materialise
-    offers cheaply per request.
+    are indexed by flat product index, and :meth:`materialize` turns
+    a prefix of the order into classified offers.
     """
 
     order: np.ndarray
@@ -322,125 +323,13 @@ def classify_arrays_batch(
     *,
     policy: ClassificationPolicy = ClassificationPolicy.SNS_PRIMARY,
 ) -> "list[ClassificationArrays]":
-    """Vectorized §4 steps 3–4 for P users sharing one offer space.
-
-    Structure-of-arrays over the user dimension: the per-axis vectors
-    gain a leading profile axis and every broadcast runs once for all
-    P members, so the cost-side arrays (cents, dollars) — which do not
-    depend on the user at all — are computed exactly once.
-
-    **Bit-exactness contract**: row ``p`` of every array equals what
-    ``classify_arrays(space, members[p][0], members[p][1])`` produces,
-    float for float.  The per-element operation chains are kept
-    identical — additions accumulate axis 0 first, the cost term is one
-    multiply then one subtract — so adding the leading axis cannot
-    change any IEEE result, and the per-row lexsort sees identical
-    keys.  The equivalence-gate tests depend on this.
-    """
-    if space.is_empty:
-        raise OfferError("cannot classify an empty offer space")
-    if not members:
-        return []
-    count = space.offer_count
-    if count > MAX_VECTOR_OFFERS:
-        raise OfferError(
-            f"offer space has {count} offers, above the vectorization "
-            f"ceiling of {MAX_VECTOR_OFFERS}; prune variants first"
-        )
-
-    axes = [space.axis(mid) for mid in space.monomedia_ids]
-    sizes = [len(axis) for axis in axes]
-    k = len(sizes)
-    p = len(members)
-
-    def _expand_rows(per_axis: "list[np.ndarray]", dtype) -> np.ndarray:
-        """Broadcast (P, axis) vectors over the product space, summing
-        in the same dim order as the single-user ``_expand``."""
-        total = np.zeros([p] + sizes, dtype=dtype)
-        for dim, values in enumerate(per_axis):
-            shape = [1] * (k + 1)
-            shape[0] = p
-            shape[dim + 1] = sizes[dim]
-            total = total + values.reshape(shape)
-        return total.reshape(p, -1)
-
-    importance_axes = [
-        np.array(
-            [
-                [imp.qos_importance(choice.presented) for choice in axis]
-                for _, imp in members
-            ],
-            dtype=np.float64,
-        )
-        for axis in axes
+    """:func:`classify_arrays` for each ``(profile, importance)`` member
+    over one shared offer space.  No planning path calls it; the name
+    stays because the perfbench tracer wraps it."""
+    return [
+        classify_arrays(space, profile, importance, policy=policy)
+        for profile, importance in members
     ]
-    level_axes = [
-        np.stack(
-            [
-                _axis_levels(
-                    [choice.presented for choice in axis], profile
-                )
-                for profile, _ in members
-            ]
-        )
-        for axis in axes
-    ]
-    # Cost is user-independent: one 1-D pass shared by every row.
-    cents_axes = [
-        np.array([choice.cost_cents for choice in axis], dtype=np.int64)
-        for axis in axes
-    ]
-
-    def _expand_flat(per_axis: "list[np.ndarray]", dtype) -> np.ndarray:
-        total = np.zeros(sizes, dtype=dtype)
-        for dim, values in enumerate(per_axis):
-            shape = [1] * k
-            shape[dim] = sizes[dim]
-            total = total + values.reshape(shape)
-        return total.reshape(-1)
-
-    qos_importance = _expand_rows(importance_axes, np.float64)
-    cents = _expand_flat(cents_axes, np.int64) + space.copyright_cents
-    cost_dollars = cents.astype(np.float64) / 100.0
-    cost_per_dollar = np.array(
-        [imp.cost_per_dollar for _, imp in members], dtype=np.float64
-    )
-    oif = qos_importance - cost_per_dollar[:, None] * cost_dollars[None, :]
-
-    level_total = np.zeros([p] + sizes, dtype=np.int8)
-    for dim, levels in enumerate(level_axes):
-        shape = [1] * (k + 1)
-        shape[0] = p
-        shape[dim + 1] = sizes[dim]
-        level_total = np.maximum(level_total, levels.reshape(shape))
-    sns_levels = level_total.reshape(p, -1)
-
-    max_cents = np.array(
-        [profile.max_cost.cents for profile, _ in members], dtype=np.int64
-    )
-    affordable = cents[None, :] <= max_cents[:, None]
-    sns_levels = np.where(
-        (sns_levels == 0) & ~affordable, np.int8(1), sns_levels
-    )
-    if policy is ClassificationPolicy.COST_GATED:
-        sns_levels = np.where(affordable, sns_levels, np.int8(2))
-
-    index = np.arange(count)
-    results: list[ClassificationArrays] = []
-    for row in range(p):
-        if policy is ClassificationPolicy.PURE_OIF:
-            order = np.lexsort((index, -oif[row]))
-        else:
-            order = np.lexsort((index, -oif[row], sns_levels[row]))
-        results.append(
-            ClassificationArrays(
-                order=order,
-                sns_levels=sns_levels[row],
-                oif=oif[row],
-                affordable=affordable[row],
-            )
-        )
-    return results
 
 
 def classify_space(

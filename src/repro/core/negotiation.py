@@ -20,9 +20,20 @@ steps, in order:
 6. **User confirmation** — the returned :class:`Commitment` must be
    confirmed within ``choicePeriod`` or the reservation evaporates.
 
-The full classified list is kept on the result: "during the active
-phase, if QoS violations occur the adaptation procedure makes use of
-the whole set of feasible system offers" (§4).
+Steps 3–4 produce the classified list lazily, best first
+(:func:`~repro.core.stream.stream_classified`), so step 5 classifies
+and materialises only the offers it walks.  The full sort
+(:func:`~repro.core.classification.classify_space`) has two jobs: the
+fallback when a preference ``offer_bonus`` makes the scores
+non-separable, and the reference procedure
+(:func:`negotiate_full_sort`) that tests and ``repro bench`` check the
+stream against.
+
+The whole classified list stays reachable from the result: "during the
+active phase, if QoS violations occur the adaptation procedure makes
+use of the whole set of feasible system offers" (§4) —
+:meth:`NegotiationResult.ensure_classified` drains the stream on
+demand.
 """
 
 from __future__ import annotations
@@ -43,13 +54,12 @@ from ..metadata.database import MetadataDatabase
 from ..network.transport import GuaranteeType, TransportSystem
 from ..telemetry import NegotiationReport, Telemetry
 from ..util.clock import ManualClock
-from ..util.errors import NegotiationError, ValidationError
+from ..util.errors import NegotiationError
 from .classification import (
     ClassificationPolicy,
     ClassifiedOffer,
     apply_offer_bonus,
     check_top_k,
-    classify_arrays,
     classify_space,
 )
 from .commitment import Commitment, ResourceCommitter
@@ -68,17 +78,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "DEFAULT_RETRY_AFTER_S",
-    "OFFER_MODES",
     "NegotiationPlan",
     "NegotiationResult",
     "QoSManager",
+    "negotiate_full_sort",
+    "two_pass_order",
 ]
-
-OFFER_MODES = ("full", "stream", "auto")
-"""How steps 3–5 consume the offer space: ``full`` classifies and
-sorts the whole product space (the original vectorized path);
-``stream`` walks it lazily best-first; ``auto`` streams whenever the
-scores are separable.  All three produce identical outcomes."""
 
 DEFAULT_RETRY_AFTER_S = 30.0
 """Retry-after hint on FAILEDTRYLATER when no breaker knows better —
@@ -89,11 +94,11 @@ roughly the time scale on which playing sessions end and free capacity."""
 class NegotiationResult:
     """Status + user offer + everything adaptation needs later.
 
-    Under streaming, ``classified`` holds only the prefix the
-    commitment walk actually consumed; ``_rest`` keeps the unconsumed
-    continuation of the stream.  :meth:`ensure_classified` drains it on
-    demand — adaptation still gets "the whole set of feasible system
-    offers" (§4), it just pays for them only when a violation occurs.
+    ``classified`` is the prefix of the best-first classified list that
+    the step-5 walk consumed; ``_rest`` keeps the unconsumed remainder.
+    :meth:`ensure_classified` drains it and returns the whole list —
+    adaptation still gets "the whole set of feasible system offers"
+    (§4), it just pays for them only when a violation occurs.
     """
 
     status: NegotiationStatus
@@ -116,9 +121,8 @@ class NegotiationResult:
 
     def ensure_classified(self) -> list[ClassifiedOffer]:
         """The complete classified list, draining any unconsumed
-        stream remainder (classified order is preserved: the consumed
-        prefix and the continuation come from the same best-first
-        walk)."""
+        remainder (classified order is preserved: the consumed prefix
+        and the continuation come from the same best-first list)."""
         if self._rest is not None:
             self.classified.extend(self._rest)
             self._rest = None
@@ -141,19 +145,45 @@ class NegotiationResult:
 class NegotiationPlan:
     """The outcome of steps 1–4, ready for a step-5 commitment walk.
 
-    Exactly one of three shapes: ``early`` set (the procedure already
-    ended in step 1 or 2), ``stream`` set (lazy best-first
-    classification; ``classified`` holds nothing yet), or ``classified``
-    populated (the eager full sort).  The concurrent service plans
+    Either ``early`` is set (the procedure already ended in step 1 or
+    2) or ``offers`` yields the classified offers best first — the lazy
+    stream, or the full sort when the scores are not separable — and
+    ``offers_in`` counts them.  The concurrent service plans
     synchronously — steps 1–4 touch no shared ledgers — and then walks
     step 5 cooperatively, yielding between reservations.
     """
 
     early: "NegotiationResult | None" = None
     space: "OfferSpace | None" = None
-    classified: "list[ClassifiedOffer]" = field(default_factory=list)
-    stream: "Iterator[ClassifiedOffer] | None" = None
+    offers: "Iterator[ClassifiedOffer] | None" = None
     offers_in: int = 0
+
+
+def two_pass_order(
+    offers: "Iterable[ClassifiedOffer]",
+    consumed: "list[ClassifiedOffer]",
+    *,
+    exclude_offer_ids: frozenset[str] = frozenset(),
+) -> "Iterator[ClassifiedOffer]":
+    """The step-5 candidate order over best-first ``offers`` (§5.2.2(c)).
+
+    Offers satisfying the QoS and cost the user requested are yielded
+    as they arrive; the others are deferred until ``offers`` runs out —
+    each pass in classified order.  Every offer pulled from ``offers``
+    is appended to ``consumed``, excluded ones included, so
+    ``consumed`` followed by whatever ``offers`` still holds is always
+    the whole classified list.
+    """
+    deferred: "list[ClassifiedOffer]" = []
+    for item in offers:
+        consumed.append(item)
+        if item.offer.offer_id in exclude_offer_ids:
+            continue
+        if item.satisfies_user:
+            yield item
+        else:
+            deferred.append(item)
+    yield from deferred
 
 
 class QoSManager:
@@ -181,7 +211,6 @@ class QoSManager:
         retry_seed: int = 0,
         journal: "ReservationJournal | None" = None,
         telemetry: "Telemetry | None" = None,
-        offer_mode: str = "full",
         cache: "NegotiationCache | None" = None,
     ) -> None:
         self.database = database
@@ -191,7 +220,6 @@ class QoSManager:
         self.policy = policy
         self.guarantee = guarantee
         self.directory = directory  # ServerDirectory, for preferences
-        self.offer_mode = self._check_offer_mode(offer_mode)
         self.cache = cache
         self.telemetry = telemetry or Telemetry.disabled()
         self.committer = ResourceCommitter(
@@ -214,15 +242,6 @@ class QoSManager:
         negotiations (the journal's single-writer check depends on
         it)."""
         return f"session-{next(self._holders)}"
-
-    @staticmethod
-    def _check_offer_mode(offer_mode: str) -> str:
-        if offer_mode not in OFFER_MODES:
-            raise ValidationError(
-                f"offer_mode must be one of {OFFER_MODES}, "
-                f"got {offer_mode!r}"
-            )
-        return offer_mode
 
     # -- step 1 -----------------------------------------------------------------
 
@@ -260,11 +279,9 @@ class QoSManager:
         policy: ClassificationPolicy | None = None,
         guarantee: GuaranteeType | None = None,
         max_offers: "int | None" = None,
-        offer_mode: "str | None" = None,
     ) -> NegotiationResult:
         """Run steps 1–5 and wrap the reservation for step 6."""
         max_offers = check_top_k(max_offers, parameter="max_offers")
-        offer_mode = self._check_offer_mode(offer_mode or self.offer_mode)
         telemetry = self.telemetry
         started = self.clock.now()
         document_id = document if isinstance(document, str) else document.document_id
@@ -275,24 +292,21 @@ class QoSManager:
         ) as root:
             if isinstance(document, str):
                 document = self.database.get_document(document)
-            result = self._run_steps(
+            guarantee = guarantee or self.guarantee
+            plan = self._plan_steps(
                 document,
                 profile,
                 client,
                 policy=policy or self.policy,
-                guarantee=guarantee or self.guarantee,
+                guarantee=guarantee,
                 max_offers=max_offers,
-                offer_mode=offer_mode,
             )
+            result = self.complete(plan, profile, client, guarantee=guarantee)
             root.set_attribute("status", str(result.status))
             root.set_attribute("attempts", result.attempts)
-        telemetry.count("negotiation.outcomes", status=str(result.status))
+        self.record_outcome(result)
         telemetry.observe(
             "negotiation.latency_s", self.clock.now() - started
-        )
-        telemetry.observe("negotiation.attempts", float(result.attempts))
-        telemetry.observe(
-            "negotiation.offers.classified", float(len(result.classified))
         )
         if telemetry.enabled:
             result.report = NegotiationReport.from_spans(
@@ -300,23 +314,17 @@ class QoSManager:
             )
         return result
 
-    def _run_steps(
-        self,
-        document: Document,
-        profile: UserProfile,
-        client: ClientMachine,
-        *,
-        policy: ClassificationPolicy,
-        guarantee: GuaranteeType,
-        max_offers: "int | None",
-        offer_mode: str = "full",
-    ) -> NegotiationResult:
-        plan = self._plan_steps(
-            document, profile, client,
-            policy=policy, guarantee=guarantee,
-            max_offers=max_offers, offer_mode=offer_mode,
+    def record_outcome(self, result: NegotiationResult) -> None:
+        """Emit one negotiation's outcome metrics: its status, its
+        step-5 attempts and how many classified offers it consumed.
+        Every path that hands a result to a caller — sequential or
+        batched — reports through here."""
+        telemetry = self.telemetry
+        telemetry.count("negotiation.outcomes", status=str(result.status))
+        telemetry.observe("negotiation.attempts", float(result.attempts))
+        telemetry.observe(
+            "negotiation.offers.classified", float(len(result.classified))
         )
-        return self.complete(plan, profile, client, guarantee=guarantee)
 
     def plan(
         self,
@@ -327,23 +335,18 @@ class QoSManager:
         policy: ClassificationPolicy | None = None,
         guarantee: GuaranteeType | None = None,
         max_offers: "int | None" = None,
-        offer_mode: "str | None" = None,
     ) -> NegotiationPlan:
         """Steps 1–4 only: classify without reserving anything.
 
-        This is the concurrent service's entry point — planning reads
-        the metadata database and the client's static characteristics
-        but never touches the shared server/transport ledgers, so it
-        needs no yield points.  The returned plan feeds a cooperative
-        step-5 walk (:meth:`ResourceCommitter.iter_commit` per
-        candidate).
-
-        ``offer_mode`` defaults to ``"full"`` (eager): a lazy stream
-        held across scheduler switches would interleave its
-        classification work unpredictably with other negotiations'
-        telemetry.  The batch engine passes ``"stream"`` explicitly for
-        spaces above the vectorization ceiling and immediately wraps
-        the stream in its own replayable buffer.
+        This is the concurrent service's and the batch engine's entry
+        point — planning reads the metadata database and the client's
+        static characteristics but never touches the shared
+        server/transport ledgers, so it needs no yield points.  The
+        plan's offers are the same lazy best-first stream
+        :meth:`negotiate` walks; the stream emits no telemetry, so
+        pulling it from inside a cooperative step-5 walk (one
+        :meth:`ResourceCommitter.iter_commit` per candidate) cannot
+        interleave anything with other negotiations.
         """
         max_offers = check_top_k(max_offers, parameter="max_offers")
         if isinstance(document, str):
@@ -353,7 +356,6 @@ class QoSManager:
             policy=policy or self.policy,
             guarantee=guarantee or self.guarantee,
             max_offers=max_offers,
-            offer_mode=self._check_offer_mode(offer_mode or "full"),
         )
 
     def complete(
@@ -369,20 +371,14 @@ class QoSManager:
         The counterpart of :meth:`plan` for callers that plan once and
         walk many times (the batch engine fans one class plan out to
         every member).  ``negotiate`` is exactly ``plan`` + ``complete``
-        modulo telemetry wrapping, and the walk order here matches the
-        sequential procedure offer for offer.
+        modulo telemetry wrapping.
         """
-        guarantee = guarantee or self.guarantee
         if plan.early is not None:
             return plan.early
-        assert plan.space is not None
-        if plan.stream is not None:
-            return self._commit_stream(
-                plan.stream, plan.space, profile, client, guarantee,
-                offers_in=plan.offers_in,
-            )
-        return self._commit_best(
-            plan.classified, plan.space, profile, client, guarantee
+        assert plan.space is not None and plan.offers is not None
+        return self.commit(
+            plan.offers, plan.space, profile, client,
+            offers_in=plan.offers_in, guarantee=guarantee,
         )
 
     def _plan_steps(
@@ -394,9 +390,36 @@ class QoSManager:
         policy: ClassificationPolicy,
         guarantee: GuaranteeType,
         max_offers: "int | None",
-        offer_mode: str = "full",
     ) -> NegotiationPlan:
-        importance = self._importance_of(profile)
+        importance = self.importance_of(profile)
+        plan = self._plan_space(document, profile, client, guarantee=guarantee)
+        if plan.early is not None:
+            return plan
+        assert plan.space is not None
+        # A non-trivial preference offer_bonus is per-offer, which
+        # breaks the separability the best-first stream relies on —
+        # those requests fall back to the full sort.
+        preferences = self._preferences_of(profile)
+        if preferences is not None and not preferences.is_trivial:
+            return self._plan_full_sort(
+                plan.space, profile, importance,
+                policy=policy, max_offers=max_offers,
+            )
+        return self._plan_stream(
+            plan.space, profile, importance,
+            policy=policy, max_offers=max_offers,
+        )
+
+    def _plan_space(
+        self,
+        document: Document,
+        profile: UserProfile,
+        client: ClientMachine,
+        *,
+        guarantee: GuaranteeType,
+    ) -> NegotiationPlan:
+        """Steps 1–2: an early plan when either ends the procedure,
+        else a plan holding only the feasible offer space."""
         telemetry = self.telemetry
 
         # Step 1: static local negotiation.
@@ -437,11 +460,10 @@ class QoSManager:
 
             # A variant filter makes the space caller-specific, so only
             # filter-free requests go through the cache.
-            space_key = None
             if self.cache is not None and variant_filter is None:
                 space_key = self.cache.space_key(
+                    database=self.database,
                     document_id=document.document_id,
-                    version=self.database.version_of(document.document_id),
                     client=client,
                     guarantee=guarantee,
                     cost_model=self.cost_model,
@@ -480,67 +502,9 @@ class QoSManager:
                 status=NegotiationStatus.FAILED_WITHOUT_OFFER,
                 offer_space=space,
             ), space=space)
+        return NegotiationPlan(space=space)
 
-        # A non-trivial preference offer_bonus is per-offer, which
-        # breaks the separability the best-first stream relies on —
-        # those requests fall back to the vectorized full sort.
-        separable = preferences is None or preferences.is_trivial
-        if offer_mode in ("stream", "auto") and separable:
-            return self._plan_streaming_steps(
-                space, profile, importance,
-                policy=policy, max_offers=max_offers,
-            )
-
-        # Step 3: classification parameters (SNS + OIF per offer).
-        with telemetry.span("negotiation.step3.parameters") as sp3:
-            if self.cache is not None and space_key is not None:
-                arrays = self.cache.classification(
-                    space_key,
-                    profile,
-                    importance,
-                    policy,
-                    lambda: classify_arrays(
-                        space, profile, importance, policy=policy
-                    ),
-                )
-                classified = arrays.materialize(space, max_offers)
-                sp3.set_attribute("cached", True)
-            else:
-                classified = classify_space(
-                    space, profile, importance, policy=policy,
-                    top_k=max_offers,
-                )
-            cut = space.offer_count - len(classified)
-            sp3.set_attribute("offers_in", space.offer_count)
-            sp3.set_attribute("offers_out", len(classified))
-            sp3.set_attribute("dropped", cut)
-            if cut:
-                sp3.set_attribute("drop_reasons", {"top-k cut": cut})
-                telemetry.count(
-                    "negotiation.offers.dropped", float(cut), step="3"
-                )
-
-        # Step 4: classification of system offers (ordering policy).
-        with telemetry.span(
-            "negotiation.step4.classify", policy=policy.value
-        ) as sp4:
-            if preferences is not None and not preferences.is_trivial:
-                classified = apply_offer_bonus(
-                    classified, preferences.offer_bonus, policy=policy
-                )
-                sp4.set_attribute("offer_bonus", True)
-            sp4.set_attribute("offers_in", len(classified))
-            sp4.set_attribute("offers_out", len(classified))
-            sp4.set_attribute(
-                "satisfying",
-                sum(1 for c in classified if c.satisfies_user),
-            )
-
-        return NegotiationPlan(
-            space=space, classified=classified, offers_in=len(classified)
-        )
-
-    def _plan_streaming_steps(
+    def _plan_stream(
         self,
         space: OfferSpace,
         profile: UserProfile,
@@ -576,92 +540,97 @@ class QoSManager:
             sp4.set_attribute("streaming", True)
             sp4.set_attribute("offers_in", out)
             sp4.set_attribute("offers_out", out)
-        return NegotiationPlan(space=space, stream=stream, offers_in=out)
+        return NegotiationPlan(space=space, offers=stream, offers_in=out)
 
-    def _commit_best(
+    def _plan_full_sort(
         self,
-        classified: "list[ClassifiedOffer]",
+        space: OfferSpace,
+        profile: UserProfile,
+        importance: ImportanceProfile,
+        *,
+        policy: ClassificationPolicy,
+        max_offers: "int | None",
+    ) -> NegotiationPlan:
+        """Steps 3–4 by classifying and sorting the whole space, then
+        re-ranking by the preference ``offer_bonus`` when there is
+        one."""
+        telemetry = self.telemetry
+        preferences = self._preferences_of(profile)
+
+        # Step 3: classification parameters (SNS + OIF per offer).
+        with telemetry.span("negotiation.step3.parameters") as sp3:
+            classified = classify_space(
+                space, profile, importance, policy=policy, top_k=max_offers
+            )
+            cut = space.offer_count - len(classified)
+            sp3.set_attribute("offers_in", space.offer_count)
+            sp3.set_attribute("offers_out", len(classified))
+            sp3.set_attribute("dropped", cut)
+            if cut:
+                sp3.set_attribute("drop_reasons", {"top-k cut": cut})
+                telemetry.count(
+                    "negotiation.offers.dropped", float(cut), step="3"
+                )
+
+        # Step 4: classification of system offers (ordering policy).
+        with telemetry.span(
+            "negotiation.step4.classify", policy=policy.value
+        ) as sp4:
+            if preferences is not None and not preferences.is_trivial:
+                classified = apply_offer_bonus(
+                    classified, preferences.offer_bonus, policy=policy
+                )
+                sp4.set_attribute("offer_bonus", True)
+            sp4.set_attribute("offers_in", len(classified))
+            sp4.set_attribute("offers_out", len(classified))
+            sp4.set_attribute(
+                "satisfying",
+                sum(1 for c in classified if c.satisfies_user),
+            )
+
+        return NegotiationPlan(
+            space=space, offers=iter(classified), offers_in=len(classified)
+        )
+
+    def commit(
+        self,
+        offers: "Iterable[ClassifiedOffer]",
         space: OfferSpace,
         profile: UserProfile,
         client: ClientMachine,
-        guarantee: GuaranteeType,
         *,
+        offers_in: int,
+        guarantee: GuaranteeType | None = None,
         exclude_offer_ids: frozenset[str] = frozenset(),
     ) -> NegotiationResult:
-        """Walk the classified list in two passes (§5.2.2(c)):
-        user-satisfying offers first, then the remaining feasible ones —
-        each pass in classified order.
+        """Step 5: walk best-first ``offers`` in :func:`two_pass_order`
+        and commit the first candidate whose resources can be reserved.
 
         When the committer tracks health, offers using a quarantined
         (circuit-open) server are skipped outright — the walk degrades
         gracefully to alternate-server variants instead of spending its
-        retry budget against a machine known to be failing."""
+        retry budget against a machine known to be failing.  The
+        result's ``classified`` is the prefix of ``offers`` the walk
+        consumed; the rest stays on the result for
+        :meth:`NegotiationResult.ensure_classified`."""
         holder = self.new_holder()
-        satisfying = [
-            c for c in classified
-            if c.satisfies_user and c.offer.offer_id not in exclude_offer_ids
-        ]
-        fallback = [
-            c for c in classified
-            if not c.satisfies_user and c.offer.offer_id not in exclude_offer_ids
-        ]
-        with self.telemetry.span(
-            "negotiation.step5.commit",
-            offers_in=len(satisfying) + len(fallback),
-            holder=holder,
-        ) as sp5:
-            chosen, commitment, attempts, skips = self._attempt_walk(
-                itertools.chain(satisfying, fallback),
-                space, profile, client, guarantee, holder,
-            )
-            return self._step5_result(
-                sp5, chosen, commitment, attempts, skips,
-                classified=classified, space=space, profile=profile,
-                rest=None,
-            )
-
-    def _commit_stream(
-        self,
-        stream: "Iterator[ClassifiedOffer]",
-        space: OfferSpace,
-        profile: UserProfile,
-        client: ClientMachine,
-        guarantee: GuaranteeType,
-        *,
-        offers_in: int,
-    ) -> NegotiationResult:
-        """Step 5 over the lazy stream, in the same two-pass order as
-        the eager walk: user-satisfying offers are attempted as they
-        arrive (the stream is best-first, so their relative order
-        matches the eager satisfying pass), non-satisfying ones are
-        buffered and attempted after the stream drains.  The attempt
-        sequence — and hence the outcome — is identical to
-        :meth:`_commit_best` over the fully sorted list."""
-        holder = self.new_holder()
-        consumed: list[ClassifiedOffer] = []
-        deferred: list[ClassifiedOffer] = []
-
-        def candidates() -> "Iterator[ClassifiedOffer]":
-            for item in stream:
-                consumed.append(item)
-                if item.satisfies_user:
-                    yield item
-                else:
-                    deferred.append(item)
-            yield from deferred
-
+        remaining = iter(offers)
+        consumed: "list[ClassifiedOffer]" = []
         with self.telemetry.span(
             "negotiation.step5.commit",
             offers_in=offers_in,
             holder=holder,
         ) as sp5:
             chosen, commitment, attempts, skips = self._attempt_walk(
-                candidates(), space, profile, client, guarantee, holder
+                two_pass_order(
+                    remaining, consumed, exclude_offer_ids=exclude_offer_ids
+                ),
+                space, profile, client, guarantee or self.guarantee, holder,
             )
             return self._step5_result(
                 sp5, chosen, commitment, attempts, skips,
                 classified=consumed, space=space, profile=profile,
-                rest=stream,
+                rest=remaining,
             )
 
     def _attempt_walk(
@@ -744,7 +713,7 @@ class QoSManager:
         classified: "list[ClassifiedOffer]",
         space: OfferSpace,
         profile: UserProfile,
-        rest: "Iterator[ClassifiedOffer] | None",
+        rest: "Iterator[ClassifiedOffer]",
     ) -> NegotiationResult:
         sp5.set_attribute("attempts", attempts)
         sp5.set_attribute("breaker_skips", skips)
@@ -836,7 +805,9 @@ class QoSManager:
         return preferences
 
     @staticmethod
-    def _importance_of(profile: UserProfile) -> ImportanceProfile:
+    def importance_of(profile: UserProfile) -> ImportanceProfile:
+        """The profile's importance profile, the default when it has
+        none."""
         importance = profile.importance
         if importance is None:
             return default_importance()
@@ -846,3 +817,36 @@ class QoSManager:
                 f"profile ({type(importance).__name__})"
             )
         return importance
+
+
+def negotiate_full_sort(
+    manager: QoSManager,
+    document: "Document | str",
+    profile: UserProfile,
+    client: ClientMachine,
+    *,
+    policy: ClassificationPolicy | None = None,
+    guarantee: GuaranteeType | None = None,
+    max_offers: "int | None" = None,
+) -> NegotiationResult:
+    """The reference procedure: steps 1–2 and 5 as
+    :meth:`QoSManager.negotiate` runs them, steps 3–4 by classifying and
+    sorting the whole offer space whatever the scores.
+
+    Tests and ``repro bench`` check the best-first stream against it:
+    both must commit the same offer with the same status after the
+    same number of attempts.  It records no outcome metrics.
+    """
+    max_offers = check_top_k(max_offers, parameter="max_offers")
+    if isinstance(document, str):
+        document = manager.database.get_document(document)
+    guarantee = guarantee or manager.guarantee
+    importance = manager.importance_of(profile)
+    plan = manager._plan_space(document, profile, client, guarantee=guarantee)
+    if plan.early is None:
+        assert plan.space is not None
+        plan = manager._plan_full_sort(
+            plan.space, profile, importance,
+            policy=policy or manager.policy, max_offers=max_offers,
+        )
+    return manager.complete(plan, profile, client, guarantee=guarantee)

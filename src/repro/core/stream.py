@@ -28,9 +28,10 @@ is partitioned on the fly, DESIRABLE offers yielded immediately and
 lower bands deferred (as cheap index tuples, not materialised offers)
 until the stream drains — which is exactly the lexsort order.
 
-Streaming requires separable scores; a non-trivial preference
-``offer_bonus`` is per-offer and breaks separability, so callers fall
-back to the vectorized path (see ``QoSManager._run_steps``).
+This is the default steps-3–4 path of every negotiation.  Streaming
+requires separable scores; a non-trivial preference ``offer_bonus`` is
+per-offer and breaks separability, so those requests fall back to the
+vectorized full sort (see ``QoSManager._plan_steps``).
 """
 
 from __future__ import annotations

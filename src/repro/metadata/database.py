@@ -17,6 +17,7 @@ behavioural difference.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Iterable, Iterator
 
 from ..documents.catalog import DocumentCatalog
@@ -35,6 +36,8 @@ from .schema import (
 
 __all__ = ["MetadataDatabase"]
 
+_tokens = itertools.count(1)
+
 
 class MetadataDatabase:
     """The metadata store backing the QoS manager and the servers."""
@@ -46,10 +49,14 @@ class MetadataDatabase:
         self._variants_by_monomedia: dict[str, list[str]] = {}
         self._variants_by_server: dict[str, list[str]] = {}
         # Monotonic per-document mutation counters.  Cache layers key
-        # entries by (document_id, version) so any catalog change makes
-        # stale entries unreachable; the counter survives removal so a
-        # re-inserted document id never reuses an old version.
+        # entries by (document_id, token, version) so any catalog change
+        # makes stale entries unreachable; the counter survives removal
+        # so a re-inserted document id never reuses an old version.
         self._versions: dict[str, int] = {}
+        # Every database counts versions from 0, so (document_id,
+        # version) repeats across databases; the process-unique token
+        # tells them apart in a cache shared by several deployments.
+        self.token = next(_tokens)
 
     def version_of(self, document_id: str) -> int:
         """The document's current mutation counter (0 when unknown)."""

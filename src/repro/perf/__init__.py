@@ -2,8 +2,8 @@
 
 The §4 pipeline is a pure function of (document, client, profile,
 tariffs) until step 5 touches shared resource state; this package
-exploits that purity.  :mod:`repro.perf.cache` memoises the expensive
-pure prefixes (offer spaces, classification arrays) across requests;
+exploits that purity.  :mod:`repro.perf.cache` memoises the offer-space
+build across requests;
 :mod:`repro.perf.fingerprint` provides the value-identity keys;
 :mod:`repro.perf.bench` measures the result and writes the repo's
 benchmark trajectory point (``BENCH_negotiation.json``);

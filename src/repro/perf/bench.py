@@ -2,9 +2,11 @@
 
 Measures negotiation throughput across a matrix of offer-space shapes
 (``variants`` per axis × ``axes`` monomedia, spanning 2–8 variants and
-2–6 axes) and five pipeline configurations — {full sort, best-first
-streaming} × {cache off, cache on} plus the batched equivalence-class
-engine (``repro.batch``) — and writes the result to
+2–6 axes) and four configurations — the full-sort reference procedure
+(:func:`~repro.core.negotiation.negotiate_full_sort`), plain
+``QoSManager.negotiate`` (which streams the classified offers best
+first) with the offer-space cache off and on, and the batched
+equivalence-class engine (``repro.batch``) — and writes the result to
 ``BENCH_negotiation.json``, a point on the repo's benchmark trajectory.
 
 Catalogue-scale cells extend the matrix to 8–10 axes and offer spaces
@@ -12,18 +14,22 @@ past a million combinations, spread over several documents requested
 under a Zipf popularity skew — the news-on-demand access pattern where
 batching pays: most requests land on the few hot documents, so the
 batch engine plans each hot class once and fans the walk out.  Those
-cells skip the full-sort configurations (materialising and sorting a
+cells skip the full-sort reference (materialising and sorting a
 million-offer space per round is exactly the cost the streaming path
-exists to avoid) and use the streaming run as the equivalence baseline
-instead; their ``max_offers`` bound keeps every run's materialised
-prefix small.
+exists to avoid) and use the plain ``negotiate`` run as the
+equivalence baseline instead; their ``max_offers`` bound keeps every
+run's materialised prefix small.
 
 Besides throughput (negotiations/s, classified offers/s, p50/p99 wall
 latency) the bench *asserts outcome equivalence*: every configuration
 must commit the same offer with the same status and the same attempt
 count on every seed scenario, round for round — the batched engine
 included.  A divergence makes the run fail (exit 1), which is the CI
-gate for the streaming and batching paths.
+gate for the streaming and batching paths.  Classified offers/s counts
+the offers each negotiation's step-5 walk consumed
+(``NegotiationResult.classified``), the same prefix in every
+configuration: the full-sort reference classifies the whole space but
+is credited only with that prefix.
 
 This module intentionally reads the wall clock — it measures real
 compute, not simulated time — so the REP001/REP011 timing bans are
@@ -33,6 +39,7 @@ suppressed line by line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 from dataclasses import dataclass
 from time import perf_counter  # reprolint: disable=REP001,REP011 -- the bench measures real wall time
@@ -45,7 +52,11 @@ from ..cmfs.disk import DiskModel
 from ..cmfs.server import MediaServer
 from ..client.machine import ClientMachine
 from ..core.importance import default_importance
-from ..core.negotiation import NegotiationResult, QoSManager
+from ..core.negotiation import (
+    NegotiationResult,
+    QoSManager,
+    negotiate_full_sort,
+)
 from ..core.profiles import MMProfile, UserProfile
 from ..documents.builder import DocumentBuilder, MonomediaBuilder
 from ..documents.document import Document
@@ -87,7 +98,7 @@ BENCH_CELLS: "tuple[tuple[int, int], ...]" = (
 QUICK_CELLS: "tuple[tuple[int, int], ...]" = ((2, 2), (4, 4), (4, 6))
 # (variants per axis, axes, documents).  Catalogue-scale: million-offer
 # spaces (6^8 ≈ 1.7M, 4^10 ≈ 1.0M, 8^8 ≈ 16.8M — the last one past the
-# vectorization ceiling, so even a cached eager sort is off the table)
+# vectorization ceiling, so the full sort cannot run at all)
 # spread across a small catalogue with Zipf-skewed popularity.
 CATALOGUE_CELLS: "tuple[tuple[int, int, int], ...]" = (
     (6, 8, 4),
@@ -101,17 +112,18 @@ SPEEDUP_THRESHOLD = 5.0
 # +cache on the hottest cell); the batch engine on the 6-axis cell must
 # beat it by SPEEDUP_THRESHOLD.
 COMMITTED_BEST_NPS = 488.0
-# Above this offer count the eager full-sort configurations are left
-# out: one round would materialise and sort the whole product space.
+# Above this offer count the full-sort reference is left out: one
+# round would materialise and sort the whole product space.
 FULL_SORT_CEILING = 5_000
 
-CONFIGS: "tuple[tuple[str, str, bool, bool], ...]" = (
-    # (label, offer_mode, cached, batched)
-    ("full", "full", False, False),
-    ("full+cache", "full", True, False),
-    ("stream", "stream", False, False),
-    ("stream+cache", "stream", True, False),
-    ("batch", "stream", True, True),
+FULL_SORT = "full"
+CONFIGS: "tuple[tuple[str, bool, bool], ...]" = (
+    # (label, cached, batched); "full" is the full-sort reference,
+    # "stream" plain negotiate, which streams the classified offers.
+    (FULL_SORT, False, False),
+    ("stream", False, False),
+    ("stream+cache", True, False),
+    ("batch", True, True),
 )
 
 # The eight bench variant flavours, best-first by construction: the
@@ -253,7 +265,7 @@ def _zipf_schedule(documents: int, rounds: int) -> "list[int]":
 
 
 def _deployment(
-    documents: "list[Document]", offer_mode: str, cached: bool
+    documents: "list[Document]", cached: bool
 ) -> "tuple[QoSManager, ClientMachine]":
     servers = {
         server_id: MediaServer(
@@ -284,7 +296,6 @@ def _deployment(
         transport=TransportSystem(topology),
         servers=servers,
         clock=ManualClock(),
-        offer_mode=offer_mode,
         cache=shared_cache() if cached else None,
     )
     client = ClientMachine("bench-client", access_point="client-net")
@@ -330,19 +341,24 @@ def _signature(
 def _run_config(
     documents: "list[Document]",
     schedule: "list[int]",
-    offer_mode: str,
+    label: str,
     cached: bool,
     *,
     batched: bool = False,
     max_offers: "int | None" = None,
 ) -> _ConfigRun:
-    manager, client = _deployment(documents, offer_mode, cached)
+    manager, client = _deployment(documents, cached)
+    negotiate = (
+        functools.partial(negotiate_full_sort, manager)
+        if label == FULL_SORT
+        else manager.negotiate
+    )
     profile = _bench_profile()
     # One unmeasured warm-up round per requested document: the cached
     # configurations are meant to measure the steady state, not the
     # first-request miss.
     for index in dict.fromkeys(schedule):
-        warmup = manager.negotiate(
+        warmup = negotiate(
             documents[index].document_id, profile, client,
             max_offers=max_offers,
         )
@@ -359,7 +375,6 @@ def _run_config(
                 profile=profile,
                 client=client,
                 max_offers=max_offers,
-                offer_mode=offer_mode,
             )
             for index in schedule
         ]
@@ -391,7 +406,7 @@ def _run_config(
         started = perf_counter()  # reprolint: disable=REP001,REP011 -- bench wall time
         for index in schedule:
             t0 = perf_counter()  # reprolint: disable=REP001,REP011 -- bench wall time
-            result = manager.negotiate(
+            result = negotiate(
                 documents[index].document_id, profile, client,
                 max_offers=max_offers,
             )
@@ -427,17 +442,14 @@ def run_bench(
         cell_rounds = rounds or cell.default_rounds()
         schedule = _zipf_schedule(cell.documents, cell_rounds)
         runs: "dict[str, _ConfigRun]" = {}
-        for label, offer_mode, cached, batched in CONFIGS:
-            if (
-                cell.offer_count > FULL_SORT_CEILING
-                and offer_mode == "full"
-            ):
+        for label, cached, batched in CONFIGS:
+            if cell.offer_count > FULL_SORT_CEILING and label == FULL_SORT:
                 continue
             runs[label] = _run_config(
-                documents, schedule, offer_mode, cached,
+                documents, schedule, label, cached,
                 batched=batched, max_offers=cell.max_offers,
             )
-        baseline_label = "full" if "full" in runs else "stream"
+        baseline_label = FULL_SORT if FULL_SORT in runs else "stream"
         baseline = runs[baseline_label].signatures
         equivalent = all(
             run.signatures == baseline for run in runs.values()
@@ -464,7 +476,7 @@ def run_bench(
             (cell.variants, cell.axes) == SIX_AXIS_CELL
             and cell.documents == 1
         ):
-            full = runs["full"].metrics(cell_rounds)["negotiations_per_s"]
+            full = runs[FULL_SORT].metrics(cell_rounds)["negotiations_per_s"]
             fast = runs["stream+cache"].metrics(cell_rounds)[
                 "negotiations_per_s"
             ]
@@ -617,7 +629,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro bench",
         description="negotiation throughput benchmark "
-        "(streaming vs full sort vs batch, cache on/off)",
+        "(negotiate vs the full-sort reference vs batch, cache on/off)",
     )
     add_bench_arguments(parser)
     return run_bench_command(parser.parse_args(argv))

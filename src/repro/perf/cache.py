@@ -1,22 +1,22 @@
-"""Fingerprint-keyed LRU caches for the negotiation hot path.
+"""A fingerprint-keyed LRU cache for the negotiation hot path.
 
-Two stores, layered the way the §4 pipeline is:
-
-* **spaces** — built :class:`~repro.core.enumeration.OfferSpace`s,
-  keyed by (document id, document version, client capability
-  fingerprint, guarantee, cost-model fingerprint, mapper fingerprint).
-  The space is pure function of those inputs, so a head-heavy request
-  mix (ROADMAP's Zipf document popularity) re-enumerates nothing.
-* **classifications** — the vectorized
-  :class:`~repro.core.classification.ClassificationArrays` (the
-  broadcast sums and the lexsort), keyed by the space key plus the
-  profile, importance and policy fingerprints.
+One store, **spaces**: built :class:`~repro.core.enumeration.OfferSpace`s,
+keyed by (document id, database token, document version, client
+capability fingerprint, guarantee, cost-model fingerprint, mapper
+fingerprint).  The space is a pure function of those inputs, so a
+head-heavy request mix (ROADMAP's Zipf document popularity)
+re-enumerates nothing.  Steps 3–4 are not cached: the best-first
+stream classifies only the offers the step-5 walk consumes, which is
+cheaper than a cached full sort of the whole space.
 
 Invalidation rides on :meth:`MetadataDatabase.version_of`: every
 catalog mutation bumps the document's version counter, which changes
 the key, so stale entries simply stop being reachable and age out of
-the LRU.  :meth:`NegotiationCache.invalidate_document` drops them
-eagerly when memory matters.
+the LRU.  Version counters start at 0 in every database, so the key
+also carries the database's process-unique ``token``: two deployments
+holding different content under one document id never share an
+entry.  :meth:`NegotiationCache.invalidate_document` drops stale
+entries eagerly when memory matters.
 
 Requests carrying a preference ``variant_filter`` build per-user
 spaces and must bypass the cache entirely — that decision is made by
@@ -49,21 +49,17 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
 from ..client.machine import ClientMachine
-from ..core.classification import ClassificationArrays, ClassificationPolicy
 from ..core.cost import CostModel
 from ..core.enumeration import OfferSpace
-from ..core.importance import ImportanceProfile
 from ..core.mapping import QoSMapper
-from ..core.profiles import UserProfile
+from ..metadata.database import MetadataDatabase
 from ..network.transport import GuaranteeType
 from ..telemetry import Telemetry
 from ..util.errors import ValidationError
 from .fingerprint import (
     client_fingerprint,
     cost_model_fingerprint,
-    importance_fingerprint,
     mapper_fingerprint,
-    profile_fingerprint,
 )
 
 __all__ = [
@@ -74,7 +70,6 @@ __all__ = [
 ]
 
 SPACES = "spaces"
-CLASSIFICATIONS = "classifications"
 
 HIT = "hit"
 OWNER = "owner"
@@ -85,18 +80,10 @@ WAIT = "wait"
 class CacheStats:
     """Per-store hit/miss/eviction/flush counters."""
 
-    hits: dict[str, int] = field(
-        default_factory=lambda: {SPACES: 0, CLASSIFICATIONS: 0}
-    )
-    misses: dict[str, int] = field(
-        default_factory=lambda: {SPACES: 0, CLASSIFICATIONS: 0}
-    )
-    evictions: dict[str, int] = field(
-        default_factory=lambda: {SPACES: 0, CLASSIFICATIONS: 0}
-    )
-    flushes: dict[str, int] = field(
-        default_factory=lambda: {SPACES: 0, CLASSIFICATIONS: 0}
-    )
+    hits: dict[str, int] = field(default_factory=lambda: {SPACES: 0})
+    misses: dict[str, int] = field(default_factory=lambda: {SPACES: 0})
+    evictions: dict[str, int] = field(default_factory=lambda: {SPACES: 0})
+    flushes: dict[str, int] = field(default_factory=lambda: {SPACES: 0})
 
     def as_dict(self) -> dict[str, dict[str, int]]:
         return {
@@ -213,13 +200,12 @@ class _LRUStore:
 
 
 class NegotiationCache:
-    """The process-wide negotiation cache (spaces + classifications)."""
+    """The process-wide negotiation cache of offer spaces."""
 
     def __init__(
         self,
         *,
         max_spaces: int = 128,
-        max_classifications: int = 512,
         telemetry: "Telemetry | None" = None,
     ) -> None:
         self.telemetry = telemetry or Telemetry.disabled()
@@ -227,25 +213,23 @@ class NegotiationCache:
         self._spaces = _LRUStore(
             SPACES, max_spaces, self.stats, self.telemetry
         )
-        self._classifications = _LRUStore(
-            CLASSIFICATIONS, max_classifications, self.stats, self.telemetry
-        )
 
     # -- keys ---------------------------------------------------------------------
 
     @staticmethod
     def space_key(
         *,
+        database: MetadataDatabase,
         document_id: str,
-        version: int,
         client: ClientMachine,
         guarantee: GuaranteeType,
         cost_model: CostModel,
         mapper: QoSMapper,
-    ) -> tuple[str, int, str, str, str, str]:
+    ) -> tuple[str, int, int, str, str, str, str]:
         return (
             document_id,
-            version,
+            database.token,
+            database.version_of(document_id),
             client_fingerprint(client),
             guarantee.value,
             cost_model_fingerprint(cost_model),
@@ -256,40 +240,13 @@ class NegotiationCache:
 
     def offer_space(
         self,
-        key: "tuple[str, int, str, str, str, str]",
+        key: "tuple[str, int, int, str, str, str, str]",
         build: "Callable[[], OfferSpace]",
     ) -> OfferSpace:
         """The cached offer space for ``key``, building on miss."""
         space = self._spaces.lookup(key, build)
         assert isinstance(space, OfferSpace)
         return space
-
-    @staticmethod
-    def classification_key(
-        space_key: "tuple[str, int, str, str, str, str]",
-        profile: UserProfile,
-        importance: ImportanceProfile,
-        policy: ClassificationPolicy,
-    ) -> tuple:
-        return space_key + (
-            profile_fingerprint(profile),
-            importance_fingerprint(importance),
-            policy.value,
-        )
-
-    def classification(
-        self,
-        space_key: "tuple[str, int, str, str, str, str]",
-        profile: UserProfile,
-        importance: ImportanceProfile,
-        policy: ClassificationPolicy,
-        compute: "Callable[[], ClassificationArrays]",
-    ) -> ClassificationArrays:
-        """The cached classification arrays for one (space, user) pair."""
-        key = self.classification_key(space_key, profile, importance, policy)
-        arrays = self._classifications.lookup(key, compute)
-        assert isinstance(arrays, ClassificationArrays)
-        return arrays
 
     # -- single-flight access ------------------------------------------------------
 
@@ -298,37 +255,23 @@ class NegotiationCache:
         """The spaces store, for cooperative single-flight callers."""
         return self._spaces
 
-    @property
-    def classifications(self) -> _LRUStore:
-        """The classifications store, for cooperative single-flight
-        callers."""
-        return self._classifications
-
     # -- maintenance --------------------------------------------------------------
 
     def invalidate_document(self, document_id: str) -> int:
-        """Eagerly drop every entry derived from ``document_id``.
+        """Eagerly drop every space built from ``document_id``.
 
         Version-keyed lookups already make stale entries unreachable;
         this reclaims their memory immediately (e.g. on document
         removal).  Returns the number of entries dropped.
         """
-        dropped = self._spaces.drop_where(lambda key: key[0] == document_id)
-        dropped += self._classifications.drop_where(
-            lambda key: key[0] == document_id
-        )
-        return dropped
+        return self._spaces.drop_where(lambda key: key[0] == document_id)
 
     def clear(self) -> None:
         self._spaces.clear()
-        self._classifications.clear()
 
     @property
     def entry_counts(self) -> dict[str, int]:
-        return {
-            SPACES: len(self._spaces),
-            CLASSIFICATIONS: len(self._classifications),
-        }
+        return {SPACES: len(self._spaces)}
 
 
 # -- the process-wide shared cache ------------------------------------------------

@@ -224,7 +224,7 @@ class AdvanceNegotiator:
                 offer_space=space,
             )
         classified = classify_space(
-            space, profile, manager._importance_of(profile)
+            space, profile, manager.importance_of(profile)
         )
         server_aps = {
             server_id: server.access_point

@@ -34,12 +34,11 @@ the delivered verdicts, with monotone ``retry_after_s`` hints.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from ..core.commitment import Commitment, CommitmentState
-from ..core.negotiation import NegotiationResult
+from ..core.negotiation import NegotiationResult, two_pass_order
 from ..core.offers import derive_user_offer
 from ..core.status import NegotiationStatus
 from ..util.errors import ConfirmationTimeout
@@ -53,6 +52,7 @@ from .scheduler import CooperativeScheduler, Sleep, Switch, Task, TaskHandle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..client.machine import ClientMachine
+    from ..core.classification import ClassifiedOffer
     from ..core.negotiation import QoSManager
     from ..core.profiles import UserProfile
     from ..session.engine import EventLoop
@@ -191,7 +191,6 @@ class NegotiationService:
         scheduler_seed: RngLike = 0,
         seed: RngLike = 0,
         telemetry: "Telemetry | None" = None,
-        coalesce: bool = True,
     ) -> None:
         if telemetry is None:
             telemetry = manager.telemetry
@@ -200,7 +199,6 @@ class NegotiationService:
         self.policy = policy or ServicePolicy()
         self.gate = gate
         self.telemetry = telemetry
-        self.coalesce = coalesce
         self.scheduler = CooperativeScheduler(
             loop, seed=scheduler_seed, telemetry=telemetry
         )
@@ -208,13 +206,6 @@ class NegotiationService:
         self.requests: "list[ServiceRequest]" = []
         self._rng = make_rng(seed)
         self._inflight = 0
-        # Same-tick plan coalescing: class key → shared steps-1–4 plan,
-        # valid only at the tick it was computed (cleared on advance).
-        # Planning is pure, so sharing the plan cannot change any walk;
-        # it only removes the N−1 redundant plan computations when a
-        # burst of equivalent requests lands between two yields.
-        self._plan_memo: "dict[tuple, object]" = {}
-        self._plan_tick: "float | None" = None
 
     # -- submission ----------------------------------------------------------------
 
@@ -332,67 +323,6 @@ class NegotiationService:
                 },
             )
 
-    # -- same-tick plan coalescing ---------------------------------------------------
-
-    def _plan_coalesced(
-        self,
-        document_id: str,
-        profile: "UserProfile",
-        client: "ClientMachine",
-    ):
-        """Steps 1–4 for one request, sharing the plan with any other
-        request of the same capability equivalence class that planned
-        at this scheduler tick.
-
-        Plans are pure (no ledger reads), so a shared plan is
-        content-identical to a private one and the walk outcomes are
-        byte-exact with ``coalesce=False``; only the redundant
-        classification work disappears.  Unbatchable requests (user
-        preferences) always plan privately.
-        """
-        from ..batch.classes import BatchRequest, request_class_key
-        from ..batch.engine import _ClassPlan, _ReplayableStream
-
-        manager = self.manager
-        max_offers = self.policy.max_offers
-
-        def plan_fresh():
-            return manager.plan(
-                document_id, profile, client, max_offers=max_offers
-            )
-
-        if not self.coalesce:
-            return plan_fresh()
-        key = request_class_key(
-            manager,
-            BatchRequest(
-                document=document_id,
-                profile=profile,
-                client=client,
-                max_offers=max_offers,
-            ),
-        )
-        if key is None:
-            return plan_fresh()
-        now = self.loop.now
-        if self._plan_tick != now:
-            self._plan_tick = now
-            self._plan_memo.clear()
-        shared = self._plan_memo.get(key)
-        if shared is None:
-            plan = plan_fresh()
-            stream = None
-            if plan.stream is not None:
-                # Stream-mode managers plan lazily; wrap the stream so
-                # every coalesced member replays it from the beginning.
-                stream = _ReplayableStream(plan.stream)
-            shared = _ClassPlan(plan=plan, shared_stream=stream)
-            self._plan_memo[key] = shared
-        else:
-            self.telemetry.count("batch.coalesced", site="service")
-        assert isinstance(shared, _ClassPlan)
-        return shared.member_plan()
-
     # -- the cooperative procedure -------------------------------------------------
 
     def _negotiation_task(
@@ -416,7 +346,9 @@ class NegotiationService:
             yield Sleep(policy.plan_s)
         else:
             yield Switch()
-        plan = self._plan_coalesced(document_id, profile, client)
+        plan = manager.plan(
+            document_id, profile, client, max_offers=policy.max_offers
+        )
         if request.context is not None:
             # Steps 1–4: the Sleep(plan_s) charge plus the atomic plan.
             telemetry.tracer.emit(
@@ -428,19 +360,18 @@ class NegotiationService:
             )
         if plan.early is not None:
             return plan.early
-        assert plan.space is not None
+        assert plan.space is not None and plan.offers is not None
         space = plan.space
         holder = manager.new_holder()
         health = committer.health
-        satisfying = [c for c in plan.classified if c.satisfies_user]
-        fallback = [c for c in plan.classified if not c.satisfies_user]
+        consumed: "list[ClassifiedOffer]" = []
         attempts = 0
         skips = 0
         switches = 0
         overrun = False
         chosen = None
         bundle = None
-        for candidate in itertools.chain(satisfying, fallback):
+        for candidate in two_pass_order(plan.offers, consumed):
             if self.loop.now >= deadline:
                 overrun = True
                 break
@@ -516,10 +447,11 @@ class NegotiationService:
                 telemetry.count("service.deadline.overruns")
             return NegotiationResult(
                 status=NegotiationStatus.FAILED_TRY_LATER,
-                classified=plan.classified,
+                classified=consumed,
                 offer_space=space,
                 attempts=attempts,
                 retry_after_s=manager.retry_after_hint(),
+                _rest=plan.offers,
             )
         # No yield between the walk's return and the Commitment: the
         # RESERVED record lands while the INTENT window is still ours.
@@ -541,9 +473,10 @@ class NegotiationService:
             ),
             chosen=chosen,
             commitment=commitment,
-            classified=plan.classified,
+            classified=consumed,
             offer_space=space,
             attempts=attempts,
+            _rest=plan.offers,
         )
         self._arm_step6(request, commitment, profile)
         return result

@@ -111,7 +111,7 @@ class _ReorderingNegotiator:
                 offer_space=space,
             )
         classified = classify_space(
-            space, profile, manager._importance_of(profile),
+            space, profile, manager.importance_of(profile),
             policy=ClassificationPolicy.SNS_PRIMARY,
         )
         ordered = self._order(classified)

@@ -194,10 +194,6 @@ class LoadSpec:
         hold_s=30.0,
     ))
     profile_name: str = "balanced"
-    # Same-tick plan coalescing in the service: equivalent requests
-    # planning at one scheduler tick share steps 1–4.  Outcome-neutral
-    # (plans are pure); off only for A/B measurements.
-    coalesce: bool = True
     starvation_wait_s: float = 240.0  # bound on any client's verdict wait
     # Optional mid-run faults (e.g. a SERVER_BROWNOUT window): the SLO
     # scenarios inject capacity loss into an otherwise nominal cell.
@@ -481,7 +477,6 @@ def run_load_cell_instrumented(
         scheduler_seed=spec.scheduler_seed,
         seed=spec.seed,
         telemetry=scenario.telemetry,
-        coalesce=spec.coalesce,
     )
     profiles = ProfileManager()
     if spec.profile_name not in profiles:

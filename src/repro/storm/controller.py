@@ -114,14 +114,6 @@ class StormController:
         self._wave_scheduled = False
         self._cooldown_until: "dict[str, float]" = {}
         self._lost_retries_left: "dict[str, int]" = {}
-        # Cross-wave class-plan memo: the fast-path candidate list of a
-        # capability class depends only on the representative's (stable)
-        # classified list, its current offer, and which servers are
-        # degraded — so storms that hit the same classes wave after
-        # wave rediscover nothing.  Any change in the degraded set
-        # invalidates wholesale.
-        self._class_plan_memo: "dict[tuple, list[ClassifiedOffer]]" = {}
-        self._memo_degraded: "frozenset[str] | None" = None
         # Take over the runtime's violation handling.
         runtime.adaptation_enabled = False
         runtime.on_violation = self.on_violation
@@ -202,19 +194,6 @@ class StormController:
         The representative's exclusions are per-session, so they are
         filtered later, per member — this list is class-wide."""
         degraded = self._degraded_servers()
-        if degraded != self._memo_degraded:
-            self._class_plan_memo.clear()
-            self._memo_degraded = degraded
-        space = representative.result.offer_space
-        memo_key = (
-            space.document.document_id if space is not None else "?",
-            representative.current_offer_id,
-            representative.session_id,
-        )
-        cached = self._class_plan_memo.get(memo_key)
-        if cached is not None:
-            self.telemetry.count("batch.coalesced", site="storm")
-            return cached
         classified = representative.result.ensure_classified()
         current_id = representative.current_offer_id
         healthy: "list[ClassifiedOffer]" = []
@@ -226,9 +205,7 @@ class StormController:
                 tainted.append(candidate)
             else:
                 healthy.append(candidate)
-        picked = (healthy + tainted)[: self.max_class_candidates]
-        self._class_plan_memo[memo_key] = picked
-        return picked
+        return (healthy + tainted)[: self.max_class_candidates]
 
     def _degraded_servers(self) -> "frozenset[str]":
         servers = self.runtime.manager.committer.servers

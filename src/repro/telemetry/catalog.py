@@ -147,8 +147,7 @@ METRICS: "tuple[MetricSpec, ...]" = (
              "engine and fanned out to every member"),
     _counter("batch.coalesced", "requests",
              "negotiation requests that reused an equivalence-class "
-             "plan instead of replanning, by site (batch/service/"
-             "storm)", "site"),
+             "plan instead of replanning, by site (batch)", "site"),
     # -- substrate ledgers ----------------------------------------------------------
     _counter("server.streams.reserved", "streams",
              "stream admissions granted, by server", "server"),
@@ -175,7 +174,8 @@ METRICS: "tuple[MetricSpec, ...]" = (
                "commitment attempts consumed per negotiation",
                (0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0)),
     _histogram("negotiation.offers.classified", "offers",
-               "feasible offers classified per negotiation",
+               "classified offers the step-5 walk consumed per "
+               "negotiation (the best-first prefix it pulled)",
                (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)),
     _histogram("batch.class_size", "requests",
                "pending requests fanned out per capability equivalence "

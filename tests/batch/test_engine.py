@@ -12,9 +12,9 @@ import pytest
 
 from repro.batch import BatchRequest, negotiate_batch
 from repro.core import ProfileManager
+from repro.core.negotiation import negotiate_full_sort
 from repro.core.preferences import UserPreferences
 from repro.core.status import NegotiationStatus
-from repro.perf.cache import CLASSIFICATIONS, SPACES
 from repro.sim import ScenarioSpec, build_scenario
 
 SPEC = ScenarioSpec(server_count=2, client_count=3, document_count=3)
@@ -50,12 +50,19 @@ def make_requests(scenario, profiles=("balanced", "premium"), repeat=3):
     return requests
 
 
-def run_sequential(scenario, requests, release=False):
+def run_sequential(scenario, requests, release=False, reference=False):
+    """The requests one by one, through plain ``negotiate`` or the
+    full-sort reference procedure."""
+    manager = scenario.manager
     signatures = []
     for request in requests:
-        result = scenario.manager.negotiate(
-            request.document, request.profile, request.client
-        )
+        args = (request.document, request.profile, request.client)
+        if reference:
+            result = negotiate_full_sort(
+                manager, *args, max_offers=request.max_offers
+            )
+        else:
+            result = manager.negotiate(*args, max_offers=request.max_offers)
         signatures.append(signature(result))
         if release and result.commitment is not None:
             result.commitment.reject(scenario.manager.clock.now())
@@ -85,38 +92,31 @@ class TestEquivalence:
             sequential, requests
         )
 
-    @pytest.mark.parametrize("offer_mode", ["full", "stream"])
-    def test_batched_equals_sequential_steady_state(self, offer_mode):
+    @pytest.mark.parametrize("sequential_path", ["full", "stream"])
+    def test_batched_equals_sequential_steady_state(self, sequential_path):
         """Reject-after-each: every member walks pristine ledgers, the
-        bench's configuration."""
-        sequential = build_scenario(SPEC, offer_mode=offer_mode)
-        batched = build_scenario(SPEC, offer_mode=offer_mode, use_cache=True)
+        bench's configuration.  The batch must match both the full-sort
+        reference and plain (streaming) ``negotiate``."""
+        sequential = build_scenario(SPEC)
+        batched = build_scenario(SPEC, use_cache=True)
         requests = make_requests(sequential)
         assert run_batched(batched, requests, release=True) == run_sequential(
-            sequential, requests, release=True
+            sequential, requests, release=True,
+            reference=sequential_path == "full",
         )
 
     def test_mixed_modes_and_bounds(self):
+        """Unbounded and ``max_offers``-bounded members of one
+        (document, profile) pair form separate classes; each matches
+        the full-sort reference."""
         sequential = build_scenario(SPEC)
         batched = build_scenario(SPEC)
         base = make_requests(sequential, repeat=2)
-        requests = []
-        for index, request in enumerate(base):
-            if index % 3 == 1:
-                request = replace(request, max_offers=2)
-            elif index % 3 == 2:
-                request = replace(request, offer_mode="stream")
-            requests.append(request)
-        expected = []
-        for request in requests:
-            result = sequential.manager.negotiate(
-                request.document,
-                request.profile,
-                request.client,
-                max_offers=request.max_offers,
-                offer_mode=request.offer_mode,
-            )
-            expected.append(signature(result))
+        requests = [
+            replace(request, max_offers=2) if index % 3 == 1 else request
+            for index, request in enumerate(base)
+        ]
+        expected = run_sequential(sequential, requests, reference=True)
         assert run_batched(batched, requests) == expected
 
 
@@ -183,47 +183,33 @@ class TestAfterEach:
         assert scenario.topology.total_reserved_bps() == 0.0
 
 
-class TestSharedClassification:
-    def test_preseed_charges_one_miss_per_class(self):
-        """Several classes over one offer space: the SoA pass classifies
-        them together, each class costs exactly the one classification
-        miss the sequential path would have charged, and the per-class
-        plan is then a pure hit."""
-        scenario = build_scenario(
-            ScenarioSpec(server_count=2, client_count=2, document_count=1),
-            use_cache=True,
-        )
-        document_id = scenario.document_ids()[0]
-        client = scenario.any_client()
-        manager = ProfileManager()
-        requests = [
-            BatchRequest(document_id, manager.get(name), client)
-            for name in ("balanced", "premium", "economy")
-            for _ in range(2)
-        ]
-        results = negotiate_batch(
-            scenario.manager,
-            requests,
-            after_each=lambda request, result: (
-                result.commitment.release()
-                if result.commitment is not None
-                else None
-            ),
-        )
-        cache = scenario.manager.cache
-        assert cache.stats.misses[SPACES] == 1
-        assert cache.stats.misses[CLASSIFICATIONS] == 3
-        # The three per-class plans all hit the preseeded rows.
-        assert cache.stats.hits[CLASSIFICATIONS] >= 3
-        assert all(
-            result.status is NegotiationStatus.SUCCEEDED
-            for result in results
-        )
+class TestOutcomeMetrics:
+    def test_batched_run_records_the_sequential_metrics(self):
+        """Batched and sequential runs leave equal outcome counters and
+        attempt / classified-offer histograms in the registry."""
+        sequential = build_scenario(SPEC, telemetry_seed=0)
+        batched = build_scenario(SPEC, telemetry_seed=0, use_cache=True)
+        requests = make_requests(sequential)
+        run_sequential(sequential, requests, release=True)
+        run_batched(batched, requests, release=True)
 
-    def test_preseeded_outcomes_match_uncached(self):
-        cached = build_scenario(SPEC, use_cache=True)
-        plain = build_scenario(SPEC)
-        requests = make_requests(cached)
-        assert run_batched(cached, requests, release=True) == run_batched(
-            plain, requests, release=True
-        )
+        def outcome_metrics(scenario):
+            snapshot = scenario.telemetry.metrics.snapshot()
+            return {
+                "counters": {
+                    key: value
+                    for key, value in snapshot["counters"].items()
+                    if key.startswith("negotiation.outcomes")
+                },
+                "histograms": {
+                    name: snapshot["histograms"][name]
+                    for name in (
+                        "negotiation.attempts",
+                        "negotiation.offers.classified",
+                    )
+                },
+            }
+
+        recorded = outcome_metrics(sequential)
+        assert recorded["counters"]
+        assert outcome_metrics(batched) == recorded

@@ -76,8 +76,10 @@ class TestBreakBeforeMake:
         self, adaptation, active_result, balanced_profile, client
     ):
         # Excluding everything but the current offer forces revert.
+        # ``classified`` is only the prefix the walk consumed; the
+        # whole set comes from ensure_classified().
         all_ids = frozenset(
-            c.offer.offer_id for c in active_result.classified
+            c.offer.offer_id for c in active_result.ensure_classified()
         )
         outcome = adaptation.adapt(
             active_result, balanced_profile, client,

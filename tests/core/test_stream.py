@@ -6,10 +6,15 @@ import pytest
 
 from repro.client.decoder import DecoderBank
 from repro.client.machine import ClientMachine
-from repro.core.classification import ClassificationPolicy, classify_space
+from repro.core.classification import (
+    ClassificationPolicy,
+    apply_offer_bonus,
+    classify_space,
+)
 from repro.core.cost import default_cost_model
 from repro.core.enumeration import build_offer_space
 from repro.core.importance import default_importance
+from repro.core.negotiation import negotiate_full_sort
 from repro.core.preferences import UserPreferences
 from repro.core.status import NegotiationStatus
 from repro.core.stream import stream_classified
@@ -72,6 +77,10 @@ class TestStreamOrder:
 
 
 class TestNegotiationModes:
+    """``negotiate`` (the best-first stream, or the full sort when a
+    preference bonus breaks separability) against the full-sort
+    reference procedure."""
+
     def _signature(self, result):
         return (
             result.status,
@@ -79,42 +88,47 @@ class TestNegotiationModes:
             result.attempts,
         )
 
+    # "stream": a profile without preferences; "auto": explicit but
+    # trivial preferences, which pass the separability check and take
+    # the best-first stream too.
     @pytest.mark.parametrize("mode", ["stream", "auto"])
     def test_same_outcome_as_full(self, manager, document, balanced_profile,
                                   client, mode):
-        full = manager.negotiate(
-            document.document_id, balanced_profile, client, offer_mode="full"
+        from dataclasses import replace
+
+        profile = balanced_profile
+        if mode == "auto":
+            profile = replace(balanced_profile, preferences=UserPreferences())
+            assert profile.preferences.is_trivial
+        full = negotiate_full_sort(
+            manager, document.document_id, profile, client
         )
         full.commitment.release()
-        other = manager.negotiate(
-            document.document_id, balanced_profile, client, offer_mode=mode
-        )
-        assert self._signature(other) == self._signature(full)
-        other.commitment.release()
+        streamed = manager.negotiate(document.document_id, profile, client)
+        assert self._signature(streamed) == self._signature(full)
+        streamed.commitment.release()
 
     def test_ensure_classified_completes_ranking(self, manager, document,
                                                  balanced_profile, client):
-        full = manager.negotiate(
-            document.document_id, balanced_profile, client, offer_mode="full"
-        )
-        full.commitment.release()
         streamed = manager.negotiate(
-            document.document_id, balanced_profile, client,
-            offer_mode="stream",
+            document.document_id, balanced_profile, client
         )
-        # The stream result holds only the consumed prefix until drained.
-        assert len(streamed.classified) <= len(full.classified)
+        space = streamed.offer_space
+        ranking = classify_space(space, balanced_profile, default_importance())
+        # The result holds only the consumed prefix until drained.
+        assert len(streamed.classified) < len(ranking)
         drained = streamed.ensure_classified()
         assert [c.offer.offer_id for c in drained] == [
-            c.offer.offer_id for c in full.classified
+            c.offer.offer_id for c in ranking
         ]
         streamed.commitment.release()
 
     def test_nontrivial_preferences_fall_back_to_full(
         self, manager, document, balanced_profile, client
     ):
-        # offer_bonus makes scores non-separable per axis; auto/stream
-        # must take the full-sort path and still agree with it.
+        # offer_bonus makes scores non-separable per axis; negotiate
+        # must take the full-sort path and still agree with the
+        # reference, ranking included.
         from dataclasses import replace
 
         biased = replace(
@@ -123,37 +137,32 @@ class TestNegotiationModes:
                 server_preference={"server-a": 0.5}
             ),
         )
-        full = manager.negotiate(
-            document.document_id, biased, client, offer_mode="full"
+        full = negotiate_full_sort(
+            manager, document.document_id, biased, client
         )
         full.commitment.release()
-        auto = manager.negotiate(
-            document.document_id, biased, client, offer_mode="auto"
+        fallback = manager.negotiate(document.document_id, biased, client)
+        assert self._signature(fallback) == self._signature(full)
+        bonus = biased.preferences.offer_bonus
+        expected = apply_offer_bonus(
+            classify_space(
+                fallback.offer_space, biased, default_importance()
+            ),
+            bonus,
         )
-        assert self._signature(auto) == self._signature(full)
-        # Fallback results are fully materialized, nothing left to drain.
-        assert len(auto.classified) == len(full.classified)
-        auto.commitment.release()
+        assert [c.offer.offer_id for c in fallback.ensure_classified()] == [
+            c.offer.offer_id for c in expected
+        ]
+        fallback.commitment.release()
 
     def test_try_later_signature_matches(self, manager, document,
                                          balanced_profile, client, topology):
         topology.link("L-client").set_congestion(1.0)
-        full = manager.negotiate(
-            document.document_id, balanced_profile, client, offer_mode="full"
+        full = negotiate_full_sort(
+            manager, document.document_id, balanced_profile, client
         )
         streamed = manager.negotiate(
-            document.document_id, balanced_profile, client,
-            offer_mode="stream",
+            document.document_id, balanced_profile, client
         )
         assert full.status is NegotiationStatus.FAILED_TRY_LATER
         assert self._signature(streamed) == self._signature(full)
-
-    def test_invalid_mode_rejected(self, manager, document, balanced_profile,
-                                   client):
-        from repro.util.errors import ValidationError
-
-        with pytest.raises(ValidationError, match="offer_mode"):
-            manager.negotiate(
-                document.document_id, balanced_profile, client,
-                offer_mode="fastest",
-            )

@@ -9,7 +9,7 @@ from repro.documents.builder import make_news_article
 from repro.documents.media import ColorMode
 from repro.documents.quality import VideoQoS
 from repro.perf import NegotiationCache, client_fingerprint
-from repro.perf.cache import CLASSIFICATIONS, SPACES
+from repro.perf.cache import SPACES
 from repro.sim import ScenarioSpec, build_scenario
 
 
@@ -39,18 +39,20 @@ class TestCacheCounting:
     def test_first_request_misses_then_hits(self, scenario):
         cache = scenario.manager.cache
         _negotiate(scenario)
-        assert cache.stats.misses == {SPACES: 1, CLASSIFICATIONS: 1}
+        assert cache.stats.misses == {SPACES: 1}
         _negotiate(scenario)
         _negotiate(scenario)
-        assert cache.stats.hits == {SPACES: 2, CLASSIFICATIONS: 2}
-        assert cache.stats.misses == {SPACES: 1, CLASSIFICATIONS: 1}
+        assert cache.stats.hits == {SPACES: 2}
+        assert cache.stats.misses == {SPACES: 1}
 
     def test_profile_change_misses_classification_only(self, scenario):
+        # The space is shared across profiles; steps 3–4 are not cached
+        # and run again for the new profile.
         _negotiate(scenario, profile_name="balanced")
         _negotiate(scenario, profile_name="premium")
         cache = scenario.manager.cache
         assert cache.stats.hits[SPACES] == 1
-        assert cache.stats.misses[CLASSIFICATIONS] == 2
+        assert cache.stats.misses[SPACES] == 1
 
     def test_telemetry_counters_emitted(self, scenario):
         _negotiate(scenario)
@@ -58,9 +60,6 @@ class TestCacheCounting:
         metrics = scenario.telemetry.metrics
         assert metrics.counter_value("cache.misses", store=SPACES) == 1
         assert metrics.counter_value("cache.hits", store=SPACES) == 1
-        assert (
-            metrics.counter_value("cache.hits", store=CLASSIFICATIONS) == 1
-        )
 
     def test_outcome_identical_to_uncached(self, scenario):
         cold = build_scenario(ScenarioSpec(document_count=2))
@@ -92,9 +91,9 @@ class TestInvalidation:
         document_id = scenario.document_ids()[0]
         _negotiate(scenario, document_id)
         cache = scenario.manager.cache
-        assert cache.entry_counts == {SPACES: 1, CLASSIFICATIONS: 1}
+        assert cache.entry_counts == {SPACES: 1}
         cache.invalidate_document(document_id)
-        assert cache.entry_counts == {SPACES: 0, CLASSIFICATIONS: 0}
+        assert cache.entry_counts == {SPACES: 0}
         _negotiate(scenario, document_id)
         assert cache.stats.misses[SPACES] == 2
 
@@ -135,7 +134,7 @@ class TestEviction:
         cache = NegotiationCache()
         cache.offer_space(("k",), lambda: space)
         cache.clear()
-        assert cache.entry_counts == {SPACES: 0, CLASSIFICATIONS: 0}
+        assert cache.entry_counts == {SPACES: 0}
 
 
 class TestFlushAccounting:
@@ -151,8 +150,8 @@ class TestFlushAccounting:
 
     def test_clear_counts_flushes_not_evictions(self, warm_cache):
         warm_cache.clear()
-        assert warm_cache.stats.flushes == {SPACES: 1, CLASSIFICATIONS: 1}
-        assert warm_cache.stats.evictions == {SPACES: 0, CLASSIFICATIONS: 0}
+        assert warm_cache.stats.flushes == {SPACES: 1}
+        assert warm_cache.stats.evictions == {SPACES: 0}
 
     def test_flush_telemetry_series_are_separate(self, scenario, warm_cache):
         warm_cache.clear()
@@ -163,7 +162,7 @@ class TestFlushAccounting:
     def test_empty_clear_counts_nothing(self, warm_cache):
         warm_cache.clear()
         warm_cache.clear()
-        assert warm_cache.stats.flushes == {SPACES: 1, CLASSIFICATIONS: 1}
+        assert warm_cache.stats.flushes == {SPACES: 1}
 
 
 class TestFingerprints:
@@ -215,7 +214,52 @@ class TestFingerprints:
         if result.commitment is not None:
             result.commitment.release()
         cache = scenario.manager.cache
-        assert cache.entry_counts == {SPACES: 0, CLASSIFICATIONS: 0}
+        assert cache.entry_counts == {SPACES: 0}
+
+
+class TestSharedAcrossDatabases:
+    def test_same_document_id_in_two_databases_never_shares_a_space(self):
+        """Two deployments share one cache and each hold a different
+        ``doc.same`` at the same catalog version.  The second must get
+        its own space, not the first one's."""
+        from repro.core import ProfileManager
+        from repro.documents.builder import DocumentBuilder, MonomediaBuilder
+        from repro.documents.media import Codecs, Medium, TV_RESOLUTION
+        from repro.perf import reset_shared_cache, shared_cache
+
+        def document(variant_count):
+            mono = MonomediaBuilder(
+                "doc.same.video", Medium.VIDEO, "clip", 30.0
+            )
+            for frame_rate in (25, 15, 10, 5)[:variant_count]:
+                mono.add_variant(
+                    Codecs.MPEG1,
+                    VideoQoS(
+                        color=ColorMode.COLOR,
+                        frame_rate=frame_rate,
+                        resolution=TV_RESOLUTION,
+                    ),
+                    "server-a",
+                )
+            return DocumentBuilder("doc.same", "same id").add(mono).build()
+
+        profile = ProfileManager().get("balanced")
+        reset_shared_cache()
+        try:
+            cache = shared_cache()
+            counts = []
+            for variant_count in (2, 4):
+                scenario = build_scenario(ScenarioSpec(document_count=1))
+                scenario.database.insert_document(document(variant_count))
+                scenario.manager.cache = cache
+                result = scenario.manager.negotiate(
+                    "doc.same", profile, scenario.any_client()
+                )
+                counts.append(result.offer_space.offer_count)
+            assert counts == [2, 4]
+            assert cache.stats.misses[SPACES] == 2
+        finally:
+            reset_shared_cache()
 
 
 def test_bench_quick_smoke(tmp_path):
@@ -237,3 +281,6 @@ def test_bench_quick_smoke(tmp_path):
     for cell in report["cells"]:
         assert cell["equivalent"]
         assert cell["status"] == "SUCCEEDED"
+        # The full-sort reference column, where the space is small
+        # enough to sort.
+        assert ("full" in cell["configs"]) == (cell["offer_count"] <= 5_000)

@@ -139,7 +139,7 @@ class TestServiceBurst:
     def test_burst_of_equivalent_requests_costs_one_miss(self):
         """End to end through the concurrent service: a same-tick burst
         of capability-equivalent requests against a cold shared cache
-        misses each store exactly once."""
+        misses the spaces store exactly once."""
         from repro.core import ProfileManager
         from repro.service import NegotiationService, ServicePolicy
         from repro.sim import ScenarioSpec, build_scenario
@@ -168,7 +168,3 @@ class TestServiceBurst:
         assert service.unfinished() == []
         metrics = scenario.telemetry.metrics
         assert metrics.counter_value("cache.misses", store="spaces") == 1
-        assert (
-            metrics.counter_value("cache.misses", store="classifications")
-            == 1
-        )

@@ -99,9 +99,10 @@ class TestStreamEquivalence:
 
 
 class TestNegotiationEquivalence:
-    """End to end: every offer_mode commits the same offer with the same
-    status and attempt count, with and without offer_bonus preferences
-    (which force the streaming path to fall back to the full sort)."""
+    """End to end: ``negotiate``, cached or not, commits the same offer
+    with the same status and attempt count as the full-sort reference,
+    with and without offer_bonus preferences (which make ``negotiate``
+    itself fall back to the full sort)."""
 
     @given(
         random_profiles(),
@@ -112,6 +113,7 @@ class TestNegotiationEquivalence:
     def test_modes_agree(self, profile, biased, policy):
         from dataclasses import replace
 
+        from repro.core.negotiation import negotiate_full_sort
         from repro.core.preferences import UserPreferences
         from repro.sim import ScenarioSpec, build_scenario
 
@@ -123,20 +125,18 @@ class TestNegotiationEquivalence:
                 ),
             )
         signatures = []
-        for offer_mode, use_cache in (
-            ("full", False), ("stream", False), ("auto", True),
-        ):
+        for reference, use_cache in ((True, False), (False, False), (False, True)):
             scenario = build_scenario(
                 ScenarioSpec(document_count=1),
                 policy=policy,
-                offer_mode=offer_mode,
                 use_cache=use_cache,
             )
-            result = scenario.manager.negotiate(
-                scenario.document_ids()[0],
-                profile,
-                scenario.any_client(),
-            )
+            manager = scenario.manager
+            args = (scenario.document_ids()[0], profile, scenario.any_client())
+            if reference:
+                result = negotiate_full_sort(manager, *args)
+            else:
+                result = manager.negotiate(*args)
             signatures.append(
                 (
                     result.status,

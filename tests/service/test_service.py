@@ -97,6 +97,44 @@ class TestEndToEnd:
         assert len(reserved) == len(set(reserved))
 
 
+class TestReference:
+    @pytest.mark.parametrize("congested_link", [None, "L-server-a", "L-client-1"])
+    def test_lone_request_walks_like_the_full_sort_reference(
+        self, congested_link
+    ):
+        """The service walks the best-first stream cooperatively; with
+        nothing else in flight it must commit what the full-sort
+        reference commits, after the same attempts."""
+        from repro.core.negotiation import negotiate_full_sort
+
+        profile = ProfileManager().get("balanced")
+        reference = build_scenario(SPEC)
+        scenario, service, _journal = build_service()
+        for deployment in (reference, scenario):
+            if congested_link is not None:
+                deployment.topology.link(congested_link).set_congestion(0.98)
+        document_id = reference.document_ids()[0]
+        expected = negotiate_full_sort(
+            reference.manager, document_id, profile,
+            reference.clients["client-1"],
+        )
+        request = service.submit(
+            document_id, profile, scenario.clients["client-1"]
+        )
+        scenario.loop.run()
+
+        def signature(result):
+            chosen = result.chosen
+            return (
+                result.status,
+                chosen.offer.offer_id if chosen else None,
+                result.attempts,
+            )
+
+        assert signature(request.result) == signature(expected)
+        assert expected.attempts >= 1
+
+
 class TestDeterminism:
     def outcome_trace(self, scheduler_seed, seed=0):
         scenario, service, journal = build_service(

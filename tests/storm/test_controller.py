@@ -110,43 +110,35 @@ def stub_candidate(offer_id, servers=()):
     )
 
 
-class TestClassPlanMemo:
-    """The cross-wave class-plan memo: a storm that hits the same class
-    wave after wave rediscovers nothing, and any change in the degraded
-    set invalidates the memo wholesale."""
+class TestClassCandidates:
+    """The fast-path candidate list of a capability class: the best
+    alternates, those avoiding degraded servers first."""
 
-    def classified_session(self, calls, offer_ids=("offer-1", "offer-2", "offer-3")):
+    def classified_session(self, servers_of=None):
+        servers_of = servers_of or {}
         session = stub_session("s1", "doc.a", "offer-1")
-        candidates = [stub_candidate(offer_id) for offer_id in offer_ids]
-
-        def ensure_classified():
-            calls.append("classify")
-            return candidates
-
-        session.result.ensure_classified = ensure_classified
+        candidates = [
+            stub_candidate(offer_id, servers_of.get(offer_id, ()))
+            for offer_id in ("offer-1", "offer-2", "offer-3")
+        ]
+        session.result.ensure_classified = lambda: candidates
         return session
 
-    def test_second_wave_reuses_the_candidate_list(self, runtime):
+    def test_current_offer_is_never_an_alternate(self, runtime):
         controller = StormController(runtime, seed=1)
-        calls = []
-        session = self.classified_session(calls)
-        first = controller._class_candidates(session)
-        second = controller._class_candidates(session)
-        assert second is first
-        assert calls == ["classify"]
-        # The current offer is never its own alternate.
-        assert [c.offer.offer_id for c in first] == ["offer-2", "offer-3"]
+        picked = controller._class_candidates(self.classified_session())
+        assert [c.offer.offer_id for c in picked] == ["offer-2", "offer-3"]
 
-    def test_degraded_set_change_invalidates(self, runtime, manager):
+    def test_candidates_follow_the_degraded_set(self, runtime, manager):
         controller = StormController(runtime, seed=1)
-        calls = []
-        session = self.classified_session(calls)
-        controller._class_candidates(session)
-        next(iter(manager.committer.servers.values())).set_degradation(0.5)
-        controller._class_candidates(session)
-        # The healthy/tainted split depends on the degraded set, so the
-        # memo must not survive it.
-        assert calls == ["classify", "classify"]
+        degraded_id = next(iter(manager.committer.servers))
+        session = self.classified_session({"offer-2": {degraded_id}})
+        before = controller._class_candidates(session)
+        manager.committer.servers[degraded_id].set_degradation(0.5)
+        after = controller._class_candidates(session)
+        # Each wave sees the degraded set as it is now.
+        assert [c.offer.offer_id for c in before] == ["offer-2", "offer-3"]
+        assert [c.offer.offer_id for c in after] == ["offer-3", "offer-2"]
 
     def test_degraded_servers_sort_behind_healthy(self, runtime, manager):
         controller = StormController(runtime, seed=1)
@@ -158,5 +150,3 @@ class TestClassPlanMemo:
         session.result.ensure_classified = lambda: [tainted, healthy]
         picked = controller._class_candidates(session)
         assert [c.offer.offer_id for c in picked] == ["offer-2", "offer-1"]
-        # And the reordered list is what later waves replay.
-        assert controller._class_candidates(session) is picked
