@@ -63,6 +63,7 @@ __all__ = [
     "ResourceCommitter",
     "CommitmentState",
     "Commitment",
+    "run_to_completion",
 ]
 
 # Everything that legitimately ends one offer's commitment attempt and
@@ -76,6 +77,18 @@ COMMIT_FAILURES = (
     TransientFaultError,
     FaultTimeoutError,
 )
+
+
+def run_to_completion(steps: "Generator[Any, Any, T]") -> T:
+    """Drive a cooperative generator straight through, ignoring its
+    yields, and return its return value (the synchronous driver of
+    :meth:`ResourceCommitter.iter_commit` and of the step-5 walk)."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as stop:
+            value: T = stop.value
+            return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,69 +239,18 @@ class ResourceCommitter:
         guarantee: GuaranteeType = GuaranteeType.GUARANTEED,
         holder: str = "session",
     ) -> "ReservationBundle | None":
-        """Attempt to reserve every resource the offer needs.
-
-        Returns the bundle on success; on any admission or capacity
-        failure everything already taken is rolled back and ``None`` is
-        returned (step 5 then moves to the next offer).  Transient
-        faults are retried per the policy before counting as failure.
-        """
-        self.journal_event(
-            JournalRecordType.INTENT,
-            holder,
-            {"offer_id": offer.offer_id, "client": client_access_point},
+        """:meth:`iter_commit` run to completion with nothing in
+        between: the bundle on success, ``None`` after a rolled-back
+        refusal."""
+        return run_to_completion(
+            self.iter_commit(
+                offer,
+                space,
+                client_access_point,
+                guarantee=guarantee,
+                holder=holder,
+            )
         )
-        streams: list[StreamReservation] = []
-        flows: list[FlowReservation] = []
-        try:
-            for monomedia_id, variant in offer.variants.items():
-                spec = space.spec_for(variant)
-                server = self.server(variant.server_id)
-                rate = guarantee.billable_rate(spec)
-                streams.append(
-                    self._run_resilient(
-                        lambda s=server, v=variant, r=rate: s.admit(
-                            v.variant_id, r, holder=holder
-                        ),
-                        server_id=server.server_id,
-                    )
-                )
-                flows.append(
-                    self._run_resilient(
-                        lambda s=server, sp=spec: self._transport.reserve(
-                            s.access_point,
-                            client_access_point,
-                            sp,
-                            guarantee=guarantee,
-                            holder=holder,
-                        )
-                    )
-                )
-        except COMMIT_FAILURES as error:
-            # The journal write itself is fallible (brownout faults can
-            # fail JOURNAL_WRITE), so the rollback must not depend on it
-            # completing: whatever happens in the bookkeeping, everything
-            # already admitted is released before control leaves.
-            try:
-                self.telemetry.count("commitment.rollbacks")
-                self.telemetry.annotate(refusal=type(error).__name__)
-                self.journal_event(
-                    JournalRecordType.RELEASED,
-                    holder,
-                    {"offer_id": offer.offer_id, "reason": "commit-failed"},
-                )
-            finally:
-                self._rollback(streams, flows)
-            return None
-        bundle = ReservationBundle(
-            offer=offer,
-            streams=tuple(streams),
-            flows=tuple(flows),
-            holder=holder,
-        )
-        if self.leases is not None:
-            self.leases.grant(holder, bundle, self._clock.now())
-        return bundle
 
     def iter_commit(
         self,
@@ -299,22 +261,27 @@ class ResourceCommitter:
         guarantee: GuaranteeType = GuaranteeType.GUARANTEED,
         holder: str = "session",
     ) -> "Generator[None, None, ReservationBundle | None]":
-        """Cooperative :meth:`try_commit`: the same all-or-nothing
-        contract, exposed as a generator that yields control before
-        every reservation call so thousands of step-5 walks can
-        interleave on one scheduler.
+        """Attempt to reserve every resource the offer needs, yielding
+        control before every reservation call.
 
-        Two deltas against the synchronous path, both contention
-        armour:
+        Returns the bundle on success; on any admission or capacity
+        failure everything already taken is rolled back and ``None`` is
+        returned (step 5 then moves to the next offer).  Transient
+        faults are retried per the policy before counting as failure.
+
+        The yields let many step-5 walks interleave on one scheduler;
+        a synchronous caller drives the generator straight through
+        (:meth:`try_commit`).  Two properties make the interleaving
+        safe:
 
         * **ordered acquisition** — variants are reserved in sorted
           ``(server_id, monomedia_id)`` order, so two walks needing the
           same pair of servers always approach them in the same order
           and can never hold-and-wait against each other;
-        * **abandonment** — closing the generator at a yield point (the
-          service does this when a negotiation's deadline budget runs
-          out) rolls back everything taken so far and journals the
-          RELEASED record, exactly like a refusal.
+        * **abandonment** — closing the generator at a yield point (a
+          walk whose deadline budget ran out does this) rolls back
+          everything taken so far and journals the RELEASED record,
+          exactly like a refusal.
 
         Between the final reservation and the generator's return there
         is no yield, so the caller can wrap the bundle in a
@@ -359,6 +326,10 @@ class ResourceCommitter:
                     )
                 )
         except COMMIT_FAILURES as error:
+            # The journal write itself is fallible (brownout faults can
+            # fail JOURNAL_WRITE), so the rollback must not depend on it
+            # completing: whatever happens in the bookkeeping, everything
+            # already admitted is released before control leaves.
             try:
                 self.telemetry.count("commitment.rollbacks")
                 self.telemetry.annotate(refusal=type(error).__name__)

@@ -39,8 +39,17 @@ demand.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Generator,
+    Iterable,
+    Iterator,
+    Mapping,
+)
 
 from ..client.machine import ClientMachine
 from ..cmfs.server import MediaServer
@@ -62,7 +71,12 @@ from .classification import (
     check_top_k,
     classify_space,
 )
-from .commitment import Commitment, ResourceCommitter
+from .commitment import (
+    Commitment,
+    ReservationBundle,
+    ResourceCommitter,
+    run_to_completion,
+)
 from .cost import CostModel, default_cost_model
 from .enumeration import OfferSpace, build_offer_space
 from .importance import ImportanceProfile, default_importance
@@ -81,6 +95,7 @@ __all__ = [
     "NegotiationPlan",
     "NegotiationResult",
     "QoSManager",
+    "WalkOutcome",
     "negotiate_full_sort",
     "two_pass_order",
 ]
@@ -184,6 +199,44 @@ def two_pass_order(
         else:
             deferred.append(item)
     yield from deferred
+
+
+@dataclass(frozen=True, slots=True)
+class WalkOutcome:
+    """What a :meth:`QoSManager.commitment_walk` returns: the step-5
+    result, how many offers an open circuit breaker skipped, and
+    whether the walk ran out of deadline budget."""
+
+    result: NegotiationResult
+    breaker_skips: int
+    overrun: bool
+
+
+def _reserve(
+    reservation: "Generator[None, None, ReservationBundle | None]",
+    now: "Callable[[], float]",
+    deadline: float,
+) -> "Generator[None, None, tuple[ReservationBundle | None, str]]":
+    """Pass one offer's reservation yields up to the walk's driver and
+    return ``(bundle, outcome)``: ``"committed"``, ``"rolled-back"``,
+    or ``"abandoned"`` when a yield ends at or past ``deadline``."""
+    try:
+        while True:
+            try:
+                next(reservation)
+            except StopIteration as stop:
+                bundle = stop.value
+                return bundle, (
+                    "committed" if bundle is not None else "rolled-back"
+                )
+            yield
+            if now() >= deadline:
+                return None, "abandoned"
+    finally:
+        # Closing a reservation mid-walk rolls back what it holds and
+        # journals RELEASED("abandoned") — at the deadline, or when the
+        # walk itself is closed; once it has returned this is a no-op.
+        reservation.close()
 
 
 class QoSManager:
@@ -344,9 +397,9 @@ class QoSManager:
         server/transport ledgers, so it needs no yield points.  The
         plan's offers are the same lazy best-first stream
         :meth:`negotiate` walks; the stream emits no telemetry, so
-        pulling it from inside a cooperative step-5 walk (one
-        :meth:`ResourceCommitter.iter_commit` per candidate) cannot
-        interleave anything with other negotiations.
+        pulling it from inside a cooperative
+        :meth:`commitment_walk` cannot interleave anything with other
+        negotiations.
         """
         max_offers = check_top_k(max_offers, parameter="max_offers")
         if isinstance(document, str):
@@ -603,8 +656,65 @@ class QoSManager:
         guarantee: GuaranteeType | None = None,
         exclude_offer_ids: frozenset[str] = frozenset(),
     ) -> NegotiationResult:
+        """Step 5, synchronously: :meth:`commitment_walk` driven to
+        completion on the manager's clock, under a
+        ``negotiation.step5.commit`` span whose attempt spans nest
+        beneath it."""
+        holder = self.new_holder()
+        with self.telemetry.span(
+            "negotiation.step5.commit",
+            offers_in=offers_in,
+            holder=holder,
+        ) as sp5:
+            outcome = run_to_completion(self.commitment_walk(
+                offers, space, profile, client,
+                holder=holder,
+                guarantee=guarantee or self.guarantee,
+                now=self.clock.now,
+                exclude_offer_ids=exclude_offer_ids,
+            ))
+            result = outcome.result
+            sp5.set_attribute("attempts", result.attempts)
+            sp5.set_attribute("breaker_skips", outcome.breaker_skips)
+            sp5.set_attribute("outcome", str(result.status))
+            if result.chosen is not None:
+                sp5.set_attribute("chosen", result.chosen.offer.offer_id)
+        return result
+
+    def commitment_walk(
+        self,
+        offers: "Iterable[ClassifiedOffer]",
+        space: OfferSpace,
+        profile: UserProfile,
+        client: ClientMachine,
+        *,
+        holder: str,
+        guarantee: GuaranteeType,
+        now: "Callable[[], float]",
+        parent: "tuple[str, str] | None" = None,
+        deadline: float = math.inf,
+        exclude_offer_ids: frozenset[str] = frozenset(),
+    ) -> "Generator[None, None, WalkOutcome]":
         """Step 5: walk best-first ``offers`` in :func:`two_pass_order`
         and commit the first candidate whose resources can be reserved.
+
+        The walk yields before every reservation call (the yields of
+        :meth:`ResourceCommitter.iter_commit`); :meth:`commit` drives
+        it straight through, the concurrent service sleeps at each
+        yield.  The driver supplies the clock (``now``), the trace
+        parent and the deadline:
+
+        * ``parent=None`` records each attempt as a live span nested
+          under the tracer's open span, breaker skips included; a
+          ``(trace_id, span_id)`` context instead emits each attempt
+          as a manually timed span under it once the attempt ends
+          (a live span cannot stay open across task switches), and
+          only real attempts get one — those traces are read as one
+          attempt per span;
+        * at or past ``deadline`` the walk stops: before a candidate,
+          or at a yield, where the in-flight reservation is abandoned
+          (rolled back, journaled RELEASED ``"abandoned"``) and the
+          result is FAILEDTRYLATER with ``overrun`` set.
 
         When the committer tracks health, offers using a quarantined
         (circuit-open) server are skipped outright — the walk degrades
@@ -612,144 +722,124 @@ class QoSManager:
         retry budget against a machine known to be failing.  The
         result's ``classified`` is the prefix of ``offers`` the walk
         consumed; the rest stays on the result for
-        :meth:`NegotiationResult.ensure_classified`."""
-        holder = self.new_holder()
+        :meth:`NegotiationResult.ensure_classified`.
+        """
+        committer = self.committer
+        health = committer.health
+        telemetry = self.telemetry
         remaining = iter(offers)
         consumed: "list[ClassifiedOffer]" = []
-        with self.telemetry.span(
-            "negotiation.step5.commit",
-            offers_in=offers_in,
-            holder=holder,
-        ) as sp5:
-            chosen, commitment, attempts, skips = self._attempt_walk(
-                two_pass_order(
-                    remaining, consumed, exclude_offer_ids=exclude_offer_ids
-                ),
-                space, profile, client, guarantee or self.guarantee, holder,
-            )
-            return self._step5_result(
-                sp5, chosen, commitment, attempts, skips,
-                classified=consumed, space=space, profile=profile,
-                rest=remaining,
-            )
-
-    def _attempt_walk(
-        self,
-        candidates: "Iterable[ClassifiedOffer]",
-        space: OfferSpace,
-        profile: UserProfile,
-        client: ClientMachine,
-        guarantee: GuaranteeType,
-        holder: str,
-    ) -> "tuple[ClassifiedOffer | None, Commitment | None, int, int]":
-        """Try to commit candidates in the order given; stop at the
-        first success.  Returns (chosen, commitment, attempts, skips)
-        with ``chosen=None`` when every candidate was exhausted."""
-        health = self.committer.health
-        telemetry = self.telemetry
         attempts = 0
         skips = 0
-        for candidate in candidates:
+        overrun = False
+        chosen: "ClassifiedOffer | None" = None
+        commitment: "Commitment | None" = None
+        for candidate in two_pass_order(
+            remaining, consumed, exclude_offer_ids=exclude_offer_ids
+        ):
+            if now() >= deadline:
+                overrun = True
+                break
+            offer = candidate.offer
             if health is not None:
-                now = self.clock.now()
+                at = now()
                 if not all(
-                    health.allow(server_id, now)
-                    for server_id in candidate.offer.servers_used()
+                    health.allow(server_id, at)
+                    for server_id in offer.servers_used()
                 ):
-                    self.committer.stats.breaker_skips += 1
+                    committer.stats.breaker_skips += 1
                     skips += 1
                     telemetry.count("breaker.skips")
-                    telemetry.count(
-                        "negotiation.offers.dropped", step="5"
-                    )
-                    with telemetry.span(
-                        "negotiation.step5.attempt",
-                        offer_id=candidate.offer.offer_id,
-                        servers=sorted(candidate.offer.servers_used()),
-                    ) as skip_span:
-                        skip_span.set_attribute(
-                            "outcome", "breaker-skip"
-                        )
+                    telemetry.count("negotiation.offers.dropped", step="5")
+                    if parent is None:
+                        with telemetry.span(
+                            "negotiation.step5.attempt",
+                            offer_id=offer.offer_id,
+                            servers=sorted(offer.servers_used()),
+                        ) as skip_span:
+                            skip_span.set_attribute("outcome", "breaker-skip")
                     continue
             attempts += 1
-            with telemetry.span(
-                "negotiation.step5.attempt",
-                offer_id=candidate.offer.offer_id,
-                servers=sorted(candidate.offer.servers_used()),
-            ) as attempt_span:
-                bundle = self.committer.try_commit(
-                    candidate.offer,
-                    space,
-                    client.access_point,
-                    guarantee=guarantee,
-                    holder=holder,
+            reservation = committer.iter_commit(
+                offer,
+                space,
+                client.access_point,
+                guarantee=guarantee,
+                holder=holder,
+            )
+            if parent is None:
+                with telemetry.span(
+                    "negotiation.step5.attempt",
+                    offer_id=offer.offer_id,
+                    servers=sorted(offer.servers_used()),
+                ) as attempt_span:
+                    bundle, outcome = yield from _reserve(
+                        reservation, now, deadline
+                    )
+                    attempt_span.set_attribute("outcome", outcome)
+            else:
+                started = now()
+                bundle, outcome = yield from _reserve(
+                    reservation, now, deadline
                 )
-                attempt_span.set_attribute(
-                    "outcome",
-                    "committed" if bundle is not None else "rolled-back",
+                telemetry.tracer.emit(
+                    "negotiation.step5.attempt",
+                    start_s=started,
+                    end_s=now(),
+                    parent=parent,
+                    attributes={
+                        "offer_id": offer.offer_id,
+                        "holder": holder,
+                        "outcome": outcome,
+                    },
                 )
+            if outcome == "abandoned":
+                overrun = True
+                break
             if bundle is None:
                 telemetry.count("negotiation.offers.dropped", step="5")
                 continue
+            # No yield between the reservation's return and the
+            # Commitment: RESERVED lands while the INTENT window is ours.
+            chosen = candidate
             commitment = Commitment(
                 bundle,
-                self.committer,
-                reserved_at=self.clock.now(),
+                committer,
+                reserved_at=now(),
                 choice_period_s=profile.choice_period_s,
                 telemetry=telemetry,
                 trace_context=telemetry.tracer.root_context(),
             )
-            return candidate, commitment, attempts, skips
-        return None, None, attempts, skips
-
-    def _step5_result(
-        self,
-        sp5: Any,
-        chosen: "ClassifiedOffer | None",
-        commitment: "Commitment | None",
-        attempts: int,
-        skips: int,
-        *,
-        classified: "list[ClassifiedOffer]",
-        space: OfferSpace,
-        profile: UserProfile,
-        rest: "Iterator[ClassifiedOffer]",
-    ) -> NegotiationResult:
-        sp5.set_attribute("attempts", attempts)
-        sp5.set_attribute("breaker_skips", skips)
-        if chosen is not None:
-            status = (
-                NegotiationStatus.SUCCEEDED
-                if chosen.satisfies_user
-                else NegotiationStatus.FAILED_WITH_OFFER
+            break
+        if chosen is None:
+            # "If the whole set of the feasible system offers are
+            # considered and no resources are available" (§4 step 5):
+            result = NegotiationResult(
+                status=NegotiationStatus.FAILED_TRY_LATER,
+                classified=consumed,
+                offer_space=space,
+                attempts=attempts,
+                retry_after_s=self.retry_after_hint(),
+                _rest=remaining,
             )
-            sp5.set_attribute("outcome", str(status))
-            sp5.set_attribute("chosen", chosen.offer.offer_id)
-            return NegotiationResult(
-                status=status,
+        else:
+            result = NegotiationResult(
+                status=(
+                    NegotiationStatus.SUCCEEDED
+                    if chosen.satisfies_user
+                    else NegotiationStatus.FAILED_WITH_OFFER
+                ),
                 user_offer=derive_user_offer(
                     chosen.offer, profile.desired.time
                 ),
                 chosen=chosen,
                 commitment=commitment,
-                classified=classified,
+                classified=consumed,
                 offer_space=space,
                 attempts=attempts,
-                _rest=rest,
+                _rest=remaining,
             )
-        # "If the whole set of the feasible system offers are
-        # considered and no resources are available" (§4 step 5):
-        sp5.set_attribute(
-            "outcome", str(NegotiationStatus.FAILED_TRY_LATER)
-        )
-        return NegotiationResult(
-            status=NegotiationStatus.FAILED_TRY_LATER,
-            classified=classified,
-            offer_space=space,
-            attempts=attempts,
-            retry_after_s=self.retry_after_hint(),
-            _rest=rest,
-        )
+        return WalkOutcome(result=result, breaker_skips=skips, overrun=overrun)
 
     def retry_after_hint(self) -> float:
         """When is retrying the whole negotiation first worthwhile?  The

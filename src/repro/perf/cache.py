@@ -285,21 +285,20 @@ class NegotiationCache:
 _shared: "NegotiationCache | None" = None
 
 
-def shared_cache(telemetry: "Telemetry | None" = None) -> NegotiationCache:
+def shared_cache() -> NegotiationCache:
     """The process-wide :class:`NegotiationCache`, created on first use.
 
-    ``telemetry`` only matters on the creating call; later callers get
-    the existing instance unchanged (the cache's own ``stats`` counters
-    are always live regardless).
+    It records into its own ``stats`` counters only: a process-wide
+    instance has no one telemetry hub to report to.
     """
     global _shared
     if _shared is None:
-        _shared = NegotiationCache(telemetry=telemetry)
+        _shared = NegotiationCache()
     return _shared
 
 
 def reset_shared_cache() -> "NegotiationCache | None":
-    """Drop the shared instance (tests; telemetry rewiring).  Returns
+    """Drop the shared instance (tests, isolated runs).  Returns
     the old instance so a caller can drain its stats."""
     global _shared
     old = _shared

@@ -2,18 +2,17 @@
 
 One :class:`NegotiationService` runs thousands of negotiations as
 cooperative tasks (:mod:`repro.service.scheduler`) against one shared
-deployment.  The synchronous :meth:`~repro.core.negotiation.QoSManager`
-path is untouched; the service layers concurrency on top of the same
-primitives:
+deployment.  It drives the same procedure as the synchronous
+:class:`~repro.core.negotiation.QoSManager`, only cooperatively:
 
 * **steps 1–4 are pure planning** (:meth:`QoSManager.plan`) — they read
   metadata and client characteristics but never touch the shared
   ledgers, so they run atomically between yields;
-* **step 5 interleaves** — each candidate is reserved through
-  :meth:`ResourceCommitter.iter_commit`, which yields before every
-  admission/flow call; the service charges each yield ``reservation_step_s``
-  of simulated time, so long walks take long and arrivals land *inside*
-  other negotiations' walks;
+* **step 5 interleaves** — the task drives the manager's one
+  :meth:`~repro.core.negotiation.QoSManager.commitment_walk`, which
+  yields before every admission/flow call; the service charges each
+  yield ``reservation_step_s`` of simulated time, so long walks take
+  long and arrivals land *inside* other negotiations' walks;
 * **deadline budgets** — a negotiation that cannot finish its walk
   within ``deadline_budget_s`` abandons the in-flight candidate (the
   generator's close rolls back and journals RELEASED) and returns an
@@ -38,9 +37,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from ..core.commitment import Commitment, CommitmentState
-from ..core.negotiation import NegotiationResult, two_pass_order
-from ..core.offers import derive_user_offer
-from ..core.status import NegotiationStatus
+from ..core.negotiation import NegotiationResult
 from ..util.errors import ConfirmationTimeout
 from ..util.rng import RngLike, make_rng
 from ..util.validation import (
@@ -52,12 +49,11 @@ from .scheduler import CooperativeScheduler, Sleep, Switch, Task, TaskHandle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..client.machine import ClientMachine
-    from ..core.classification import ClassifiedOffer
     from ..core.negotiation import QoSManager
     from ..core.profiles import UserProfile
+    from ..core.status import NegotiationStatus
     from ..session.engine import EventLoop
     from ..storm import AdmissionGate
-    from ..telemetry import Telemetry
 
 __all__ = [
     "EXPIRY_MARGIN_S",
@@ -79,7 +75,7 @@ class ServicePolicy:
     """Knobs of one concurrent negotiation service.
 
     ``reservation_step_s`` is the simulated cost of one reservation
-    call (each :meth:`iter_commit` yield sleeps this long);
+    call (each yield of the commitment walk sleeps this long);
     ``plan_s`` the cost of steps 1–4.  ``deadline_budget_s`` bounds a
     negotiation's whole step-5 walk.  ``confirm_delay_s`` ±
     ``confirm_jitter`` is the user's think time before confirming;
@@ -190,17 +186,16 @@ class NegotiationService:
         gate: "AdmissionGate | None" = None,
         scheduler_seed: RngLike = 0,
         seed: RngLike = 0,
-        telemetry: "Telemetry | None" = None,
     ) -> None:
-        if telemetry is None:
-            telemetry = manager.telemetry
         self.manager = manager
         self.loop = loop
         self.policy = policy or ServicePolicy()
         self.gate = gate
-        self.telemetry = telemetry
+        # One hub for the whole negotiation: the commitment walk and
+        # record_outcome report to the manager's.
+        self.telemetry = manager.telemetry
         self.scheduler = CooperativeScheduler(
-            loop, seed=scheduler_seed, telemetry=telemetry
+            loop, seed=scheduler_seed, telemetry=self.telemetry
         )
         self.stats = ServiceStats()
         self.requests: "list[ServiceRequest]" = []
@@ -306,7 +301,7 @@ class NegotiationService:
         telemetry.metrics.gauge_set(
             "service.inflight", float(self._inflight)
         )
-        telemetry.count("negotiation.outcomes", status=str(result.status))
+        self.manager.record_outcome(result)
         telemetry.observe(
             "service.verdict.wait_s", request.verdict_wait_s or 0.0
         )
@@ -338,7 +333,6 @@ class NegotiationService:
         becomes the delivered verdict)."""
         policy = self.policy
         manager = self.manager
-        committer = manager.committer
         telemetry = self.telemetry
         started = self.loop.now
         deadline = started + policy.deadline_budget_s
@@ -361,124 +355,39 @@ class NegotiationService:
         if plan.early is not None:
             return plan.early
         assert plan.space is not None and plan.offers is not None
-        space = plan.space
-        holder = manager.new_holder()
-        health = committer.health
-        consumed: "list[ClassifiedOffer]" = []
-        attempts = 0
-        skips = 0
+        walk = manager.commitment_walk(
+            plan.offers,
+            plan.space,
+            profile,
+            client,
+            holder=manager.new_holder(),
+            guarantee=manager.guarantee,
+            now=lambda: self.loop.now,
+            parent=request.context,
+            deadline=deadline,
+        )
         switches = 0
-        overrun = False
-        chosen = None
-        bundle = None
-        for candidate in two_pass_order(plan.offers, consumed):
-            if self.loop.now >= deadline:
-                overrun = True
+        while True:
+            try:
+                next(walk)
+            except StopIteration as stop:
+                outcome = stop.value
                 break
-            if health is not None:
-                now = self.loop.now
-                if not all(
-                    health.allow(server_id, now)
-                    for server_id in candidate.offer.servers_used()
-                ):
-                    committer.stats.breaker_skips += 1
-                    skips += 1
-                    telemetry.count("breaker.skips")
-                    telemetry.count("negotiation.offers.dropped", step="5")
-                    continue
-            attempts += 1
-            attempt_started = self.loop.now
-            walk = committer.iter_commit(
-                candidate.offer,
-                space,
-                client.access_point,
-                guarantee=manager.guarantee,
-                holder=holder,
-            )
-            taken = None
-            while True:
-                try:
-                    next(walk)
-                except StopIteration as stop:
-                    taken = stop.value
-                    break
-                # Parked before a reservation call: charge its cost and
-                # let other tasks run in the meantime.
-                switches += 1
-                if policy.reservation_step_s > 0.0:
-                    yield Sleep(policy.reservation_step_s)
-                else:
-                    yield Switch()
-                if self.loop.now >= deadline:
-                    # Budget exhausted mid-walk: abandoning the
-                    # generator rolls back and journals RELEASED.
-                    walk.close()
-                    overrun = True
-                    break
-            if telemetry.enabled:
-                telemetry.tracer.emit(
-                    "negotiation.step5.attempt",
-                    start_s=attempt_started,
-                    end_s=self.loop.now,
-                    parent=request.context,
-                    attributes={
-                        "offer_id": candidate.offer.offer_id,
-                        "holder": holder,
-                        "outcome": (
-                            "committed" if taken is not None
-                            else "abandoned" if overrun
-                            else "rolled-back"
-                        ),
-                    },
-                )
-            if overrun:
-                break
-            if taken is None:
-                telemetry.count("negotiation.offers.dropped", step="5")
-                continue
-            chosen = candidate
-            bundle = taken
-            break
+            # Parked before a reservation call: charge its cost and let
+            # other tasks run in the meantime.
+            switches += 1
+            if policy.reservation_step_s > 0.0:
+                yield Sleep(policy.reservation_step_s)
+            else:
+                yield Switch()
         telemetry.observe("service.walk.switches", float(switches))
-        if chosen is None or bundle is None:
-            if overrun:
-                request.overrun = True
-                self.stats.overruns += 1
-                telemetry.count("service.deadline.overruns")
-            return NegotiationResult(
-                status=NegotiationStatus.FAILED_TRY_LATER,
-                classified=consumed,
-                offer_space=space,
-                attempts=attempts,
-                retry_after_s=manager.retry_after_hint(),
-                _rest=plan.offers,
-            )
-        # No yield between the walk's return and the Commitment: the
-        # RESERVED record lands while the INTENT window is still ours.
-        commitment = Commitment(
-            bundle,
-            committer,
-            reserved_at=self.loop.now,
-            choice_period_s=profile.choice_period_s,
-            telemetry=telemetry,
-        )
-        result = NegotiationResult(
-            status=(
-                NegotiationStatus.SUCCEEDED
-                if chosen.satisfies_user
-                else NegotiationStatus.FAILED_WITH_OFFER
-            ),
-            user_offer=derive_user_offer(
-                chosen.offer, profile.desired.time
-            ),
-            chosen=chosen,
-            commitment=commitment,
-            classified=consumed,
-            offer_space=space,
-            attempts=attempts,
-            _rest=plan.offers,
-        )
-        self._arm_step6(request, commitment, profile)
+        if outcome.overrun:
+            request.overrun = True
+            self.stats.overruns += 1
+            telemetry.count("service.deadline.overruns")
+        result: NegotiationResult = outcome.result
+        if result.commitment is not None:
+            self._arm_step6(request, result.commitment, profile)
         return result
 
     # -- step 6: confirmation vs expiry, as tasks ----------------------------------

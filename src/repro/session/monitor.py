@@ -105,10 +105,15 @@ class QoSMonitor:
                 )
 
         # Server pass: stream reservations carry the session holder tag.
+        # Walk the sessions in their own order, not the victim set's:
+        # set order follows string hashing and would make every run
+        # depend on PYTHONHASHSEED.
         for server in self._servers.values():
-            for holder in server.violated_holders():
-                session = by_holder.get(holder)
-                if session is None:
+            victims = server.violated_holders()
+            if not victims:
+                continue
+            for holder, session in by_holder.items():
+                if holder not in victims:
                     continue
                 key = (session.session_id, f"srv:{server.server_id}")
                 if key not in seen:

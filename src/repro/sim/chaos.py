@@ -21,10 +21,9 @@ from ..core.profile_manager import ProfileManager
 from ..core.status import NegotiationStatus
 from ..faults.health import CircuitBreaker
 from ..faults.injector import FaultInjector
-from ..faults.lease import LeaseManager
 from ..faults.plan import FaultPlan
 from ..faults.retry import RetryPolicy
-from ..journal import HolderOutcome, RecoveryManager, ReservationJournal
+from ..journal import ReservationJournal
 from ..session.supervisor import SessionSupervisor
 from ..util.errors import (
     ConfirmationTimeout,
@@ -32,6 +31,7 @@ from ..util.errors import (
     SimulationError,
 )
 from ..util.tables import render_table
+from .recover import restart_manager
 from .scenario import Scenario, ScenarioSpec, build_scenario
 
 __all__ = ["ChaosSpec", "ChaosReport", "run_chaos"]
@@ -259,49 +259,16 @@ def run_chaos(spec: ChaosSpec) -> "tuple[ChaosReport, Scenario]":
     committer = scenario.manager.committer
 
     def recover() -> None:
-        """Simulated manager restart: volatile state (leases, in-flight
-        negotiations) is gone; the journal + ledgers are what survive."""
         report.manager_crashes += 1
-        if committer.leases is not None:
-            committer.leases = LeaseManager(ttl_s=spec.lease_ttl_s)
-        recovery = RecoveryManager(
-            journal,
-            scenario.servers,
-            scenario.transport,
-            clock=scenario.clock,
-            telemetry=scenario.telemetry,
+        replay = restart_manager(
+            scenario, journal, injector, supervisor, runtime
         )
-        # Recovery itself must not be re-killed by the same injector
-        # hook mid-replay; its appends are not crash opportunities.
-        journal.crash_hook = None
-        try:
-            rec_report = recovery.replay(
-                loop=scenario.loop, supervisor=supervisor
-            )
-        finally:
-            injector.install_journal(journal)
         report.recoveries += 1
-        report.recovered_orphans += rec_report.orphans_released
-        report.recovered_expired += rec_report.expired_released
-        report.recovered_rearmed += rec_report.rearmed
-        report.recovered_active += rec_report.active_sessions
-        report.recovered_redo += rec_report.redo_released
-        # Reconcile the runtime against the replay.  Playouts whose
-        # timeline is still active survived the crash (client + servers
-        # kept streaming): watch them by progress instead of waiting
-        # for an explicit heartbeat that the simulated client never
-        # sends.  A session the journal already closed — the crash
-        # struck mid-teardown, after RELEASED was journaled — is stale
-        # and is finalized now, or it would pin the monitor sweep
-        # forever.
-        for session in list(runtime.sessions.values()):
-            outcome = rec_report.outcomes.get(session.holder)
-            if outcome == HolderOutcome.ACTIVE:
-                supervisor.forget(session.holder)
-                supervisor.watch(session)
-            else:
-                runtime.abort_session(session)
-        supervisor.arm(scenario.loop)
+        report.recovered_orphans += replay.orphans_released
+        report.recovered_expired += replay.expired_released
+        report.recovered_rearmed += replay.rearmed
+        report.recovered_active += replay.active_sessions
+        report.recovered_redo += replay.redo_released
 
     for index in range(spec.requests):
         scenario.loop.at(

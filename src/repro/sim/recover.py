@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..core.profile_manager import ProfileManager
 from ..faults.injector import FaultInjector
+from ..faults.lease import LeaseManager
 from ..faults.plan import FaultKind, FaultPlan, FaultSpec
 from ..journal import (
     HolderOutcome,
@@ -31,7 +33,61 @@ from ..util.errors import ConfirmationTimeout, ManagerCrashError, SimulationErro
 from ..util.tables import render_table
 from .scenario import Scenario, ScenarioSpec, build_scenario
 
-__all__ = ["CrashRecoverySpec", "CrashRecoveryReport", "run_crash_recovery"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..session.runtime import SessionRuntime
+
+__all__ = [
+    "CrashRecoverySpec",
+    "CrashRecoveryReport",
+    "restart_manager",
+    "run_crash_recovery",
+]
+
+
+def restart_manager(
+    scenario: Scenario,
+    journal: ReservationJournal,
+    injector: FaultInjector,
+    supervisor: SessionSupervisor,
+    runtime: "SessionRuntime",
+) -> RecoveryReport:
+    """Simulated manager restart in the middle of a running scenario.
+
+    Volatile state (leases, in-flight negotiations) is gone; the
+    journal and the ledgers are what survive.  The journal is replayed
+    through a :class:`RecoveryManager` with the injector's crash hook
+    detached — recovery's own appends are not crash opportunities —
+    and re-attached afterwards.  Playouts whose timeline is still
+    active survived the crash (client and servers kept streaming): the
+    supervisor watches them by progress instead of waiting for a
+    heartbeat the simulated client never sends.  Every other session
+    the journal already closed (the crash struck mid-teardown, after
+    RELEASED was journaled) is aborted now, or it would pin the
+    monitor sweep forever.  Returns the replay report.
+    """
+    committer = scenario.manager.committer
+    if committer.leases is not None:
+        committer.leases = LeaseManager(ttl_s=committer.leases.ttl_s)
+    recovery = RecoveryManager(
+        journal,
+        scenario.servers,
+        scenario.transport,
+        clock=scenario.clock,
+        telemetry=scenario.telemetry,
+    )
+    journal.crash_hook = None
+    try:
+        replay = recovery.replay(loop=scenario.loop, supervisor=supervisor)
+    finally:
+        injector.install_journal(journal)
+    for session in list(runtime.sessions.values()):
+        if replay.outcomes.get(session.holder) == HolderOutcome.ACTIVE:
+            supervisor.forget(session.holder)
+            supervisor.watch(session)
+        else:
+            runtime.abort_session(session)
+    supervisor.arm(scenario.loop)
+    return replay
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,10 +25,9 @@ from ..core.profile_manager import ProfileManager
 from ..core.status import NegotiationStatus
 from ..faults.health import CircuitBreaker
 from ..faults.injector import FaultInjector
-from ..faults.lease import LeaseManager
 from ..faults.plan import FaultKind, FaultPlan, FaultSpec
 from ..faults.retry import RetryPolicy
-from ..journal import HolderOutcome, RecoveryManager, ReservationJournal
+from ..journal import ReservationJournal
 from ..session.supervisor import SessionSupervisor
 from ..storm import AdmissionGate, GatePolicy, StormController
 from ..telemetry.report import reconcile_journal
@@ -39,6 +38,7 @@ from ..util.errors import (
 )
 from ..util.tables import render_table
 from ..util.validation import check_fraction, check_positive
+from .recover import restart_manager
 from .scenario import Scenario, ScenarioSpec, build_scenario
 
 __all__ = [
@@ -537,36 +537,12 @@ def run_storm(spec: StormSpec) -> "tuple[StormReport, Scenario]":
     committer = scenario.manager.committer
 
     def recover() -> None:
-        """Manager restart mid-storm: volatile state is gone, the
-        journal + ledgers survive (same discipline as the chaos
-        runner)."""
         report.manager_crashes += 1
-        if committer.leases is not None:
-            committer.leases = LeaseManager(ttl_s=spec.lease_ttl_s)
-        recovery = RecoveryManager(
-            journal,
-            scenario.servers,
-            scenario.transport,
-            clock=scenario.clock,
-            telemetry=scenario.telemetry,
+        replay = restart_manager(
+            scenario, journal, injector, supervisor, runtime
         )
-        journal.crash_hook = None
-        try:
-            rec_report = recovery.replay(
-                loop=scenario.loop, supervisor=supervisor
-            )
-        finally:
-            injector.install_journal(journal)
         report.recoveries += 1
-        report.recovered_active += rec_report.active_sessions
-        for session in list(runtime.sessions.values()):
-            outcome = rec_report.outcomes.get(session.holder)
-            if outcome == HolderOutcome.ACTIVE:
-                supervisor.forget(session.holder)
-                supervisor.watch(session)
-            else:
-                runtime.abort_session(session)
-        supervisor.arm(scenario.loop)
+        report.recovered_active += replay.active_sessions
 
     while True:
         try:

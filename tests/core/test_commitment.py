@@ -13,6 +13,7 @@ from repro.core.commitment import (
 from repro.core.cost import default_cost_model
 from repro.core.enumeration import build_offer_space
 from repro.core.importance import default_importance
+from repro.documents import make_news_article
 from repro.util.errors import ConfirmationTimeout, ReservationError
 
 
@@ -102,6 +103,42 @@ class TestTryCommit:
         } == before_streams
         assert transport.flow_count == before_flows
         assert topology.total_reserved_bps() == before_bps
+
+
+class TestOrderedAcquisition:
+    def test_try_commit_reserves_in_server_then_monomedia_order(
+        self, committer, client, servers, balanced_profile
+    ):
+        """The variants arrive video (server-b) first, audio (server-a)
+        second; the reservation still takes server-a first, the same
+        ``(server_id, monomedia_id)`` order every concurrent walk uses."""
+        document = make_news_article(
+            "doc.swapped",
+            video_servers=("server-b",),
+            audio_servers=("server-a",),
+            include_image=False,
+            include_text=False,
+        )
+        space = build_offer_space(document, client, default_cost_model())
+        offer = classify_space(
+            space, balanced_profile, default_importance()
+        )[0].offer
+        assert [v.server_id for v in offer.variants.values()] == [
+            "server-b", "server-a",
+        ]
+        admitted = []
+        for server in servers.values():
+            def admit(*args, _server=server, _admit=server.admit, **kwargs):
+                admitted.append(_server.server_id)
+                return _admit(*args, **kwargs)
+
+            server.admit = admit
+        bundle = committer.try_commit(
+            offer, space, client.access_point, holder="s1"
+        )
+        assert bundle is not None
+        assert admitted == ["server-a", "server-b"]
+        assert [s.server_id for s in bundle.streams] == admitted
 
 
 class TestRollback:

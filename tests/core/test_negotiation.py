@@ -107,6 +107,34 @@ class TestStep5Commitment:
         assert sum(s.stream_count for s in servers.values()) == 0
 
 
+    def test_closing_the_walk_mid_reservation_rolls_back(
+        self, database, transport, servers, clock, document,
+        balanced_profile, client,
+    ):
+        """A driver that drops the walk at a yield still gets the
+        abandonment discipline: nothing held, RELEASED("abandoned")."""
+        from repro.journal import JournalRecordType, ReservationJournal
+
+        journal = ReservationJournal()
+        manager = QoSManager(
+            database=database, transport=transport, servers=servers,
+            clock=clock, journal=journal,
+        )
+        plan = manager.plan(document.document_id, balanced_profile, client)
+        walk = manager.commitment_walk(
+            plan.offers, plan.space, balanced_profile, client,
+            holder="walker", guarantee=manager.guarantee, now=clock.now,
+        )
+        next(walk)  # parked before the first admission
+        next(walk)  # one stream admitted, parked before its flow
+        assert sum(s.stream_count for s in servers.values()) == 1
+        walk.close()
+        assert sum(s.stream_count for s in servers.values()) == 0
+        assert transport.flow_count == 0
+        last = journal.records()[-1]
+        assert last.record_type is JournalRecordType.RELEASED
+        assert last.payload["reason"] == "abandoned"
+
 class TestDocumentLookup:
     def test_by_id(self, manager, document, balanced_profile, client):
         result = manager.negotiate(document.document_id, balanced_profile, client)

@@ -1,6 +1,10 @@
 """End-to-end storm runs: survival, determinism, thrash, recovery."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -104,6 +108,29 @@ class TestThrashComparison:
         assert document["demonstrates_thrash"] is True
         assert document["with_backpressure"]["backpressure"] is True
         assert document["without_backpressure"]["backpressure"] is False
+
+
+class TestHashSeedIndependence:
+    def test_comparison_is_identical_under_different_hash_seeds(self):
+        """String hashing must not steer a storm: the monitor once
+        walked the server's victim set in hash order, so the bare
+        deployment's re-reservation order followed PYTHONHASHSEED."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+
+        def run(hash_seed):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            completed = subprocess.run(
+                [
+                    sys.executable, "-m", "repro", "storm", "--seed", "1",
+                    "--sessions", "100", "--late-requests", "20", "--json",
+                ],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            return completed.stdout
+
+        first = run("0")
+        assert '"without_backpressure"' in first
+        assert run("1") == first
 
 
 class TestInterruptedStorm:

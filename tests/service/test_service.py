@@ -135,6 +135,77 @@ class TestReference:
         assert expected.attempts >= 1
 
 
+    @pytest.mark.parametrize("document_index", [0, 1])
+    def test_open_breaker_skips_agree_with_the_synchronous_walk(
+        self, document_index
+    ):
+        """Both drivers run one commitment walk: with a circuit breaker
+        open on one server, ``QoSManager.negotiate`` and the service
+        commit the same offer after the same attempts and skip the same
+        offers."""
+        from repro.faults import CircuitBreaker
+
+        def deploy():
+            health = CircuitBreaker(failure_threshold=1, recovery_time_s=300.0)
+            deployment = build_scenario(SPEC, health=health)
+            health.record_failure("server-a", deployment.clock.now())
+            return deployment
+
+        profile = ProfileManager().get("balanced")
+        sync = deploy()
+        document_id = sync.document_ids()[document_index]
+        expected = sync.manager.negotiate(
+            document_id, profile, sync.clients["client-1"]
+        )
+        concurrent = deploy()
+        service = NegotiationService(
+            concurrent.manager, concurrent.loop,
+            policy=ServicePolicy(hold_s=10.0),
+        )
+        request = service.submit(
+            document_id, profile, concurrent.clients["client-1"]
+        )
+        concurrent.loop.run()
+
+        def signature(result):
+            chosen = result.chosen
+            return (
+                result.status,
+                chosen.offer.offer_id if chosen else None,
+                result.attempts,
+            )
+
+        assert signature(request.result) == signature(expected)
+        skips = sync.manager.committer.stats.breaker_skips
+        assert skips > 0
+        assert concurrent.manager.committer.stats.breaker_skips == skips
+
+
+class TestOutcomeMetrics:
+    def test_every_delivered_verdict_is_recorded_once(self):
+        """The service reports through ``QoSManager.record_outcome``:
+        one outcome count and one sample of each outcome histogram per
+        delivered verdict."""
+        scenario = build_scenario(SPEC, telemetry_seed=0)
+        service = NegotiationService(
+            scenario.manager, scenario.loop,
+            policy=ServicePolicy(hold_s=10.0),
+        )
+        submit_burst(scenario, service, 8)
+        scenario.loop.run()
+        delivered = service.stats.delivered
+        assert delivered == 8
+        snapshot = scenario.telemetry.metrics.snapshot()
+        outcomes = sum(
+            value
+            for key, value in snapshot["counters"].items()
+            if key.startswith("negotiation.outcomes")
+        )
+        assert outcomes == delivered
+        for name in ("negotiation.attempts", "negotiation.offers.classified"):
+            assert snapshot["histograms"][name]["count"] == delivered
+
+
 class TestDeterminism:
     def outcome_trace(self, scheduler_seed, seed=0):
         scenario, service, journal = build_service(
